@@ -21,6 +21,7 @@ from .embedding import (
     acl,
     critical_points,
     delay_embed,
+    find_delay,
     read_cloud_csv,
     select_delay,
     write_cloud_csv,
@@ -110,6 +111,7 @@ __all__ = [
     "detect",
     "estimate_segments",
     "evaluate",
+    "find_delay",
     "fit_envelope",
     "fit_model",
     "graph",

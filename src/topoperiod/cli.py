@@ -6,8 +6,10 @@ models, and reports as JSON. Every artifact goes to --out when given,
 otherwise to stdout, and is byte-for-byte deterministic for a given
 input and seed.
 
-Exit codes: 0 on success, 1 for domain or input errors (a JSON object
-with "kind" and "message" is printed to stderr), 2 for usage errors.
+Exit codes: 0 on success, 1 for domain or input errors and for any
+other failure (a JSON object with "kind" and "message" is printed to
+stderr; unexpected exceptions have kind "InternalError"), 2 for usage
+errors.
 
 Option values resolve in precedence order: explicit flag, then the
 --config JSON file (keys are the long option names with underscores),
@@ -30,8 +32,8 @@ from .embedding import (
     acl,
     cloud_csv_text,
     delay_embed,
+    find_delay,
     read_cloud_csv,
-    select_delay,
 )
 from .errors import TopoperiodError
 from .metrics import bottleneck, hausdorff
@@ -125,7 +127,7 @@ def _cmd_embed(args: argparse.Namespace, cfg: dict) -> int:
     dim = _resolve(args, cfg, "dim", 2, int)
     delay_opt = _resolve(args, cfg, "delay", "auto", str)
     if delay_opt == "auto":
-        delay = select_delay(acl(s), strategy)
+        delay = find_delay(s, strategy)
     else:
         delay = int(delay_opt)
     cloud = delay_embed(s, delay, dim)
@@ -421,6 +423,11 @@ def run(argv: list[str]) -> int:
         return 1
     except (ValueError, KeyError, TypeError) as exc:
         _fail("InvalidInput", str(exc))
+        return 1
+    except Exception as exc:
+        # A defect or an exhausted resource, RecursionError included,
+        # still ends as one JSON error line rather than a traceback.
+        _fail("InternalError", f"{type(exc).__name__}: {exc}")
         return 1
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .embedding import acl, delay_embed, select_delay
+from .embedding import delay_embed, find_delay
 from .errors import (
     NoCriticalPointsError,
     NoZeroCrossingError,
@@ -105,7 +105,7 @@ def detect(s: Signal, config: PipelineConfig | None = None) -> DetectionReport:
         if cfg.delay is not None:
             delay = int(cfg.delay)
         else:
-            delay = select_delay(acl(normed), cfg.strategy)
+            delay = find_delay(normed, cfg.strategy)
         cloud = delay_embed(normed, delay, cfg.embed_dim)
     except (NoZeroCrossingError, NoCriticalPointsError, SignalTooShortError) as exc:
         return DetectionReport(

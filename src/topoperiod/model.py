@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import PointCloud
+from .embedding import PointCloud, crossing_positions
 from .errors import (
     InsufficientPeaksError,
     NoZeroCrossingsError,
@@ -199,32 +199,6 @@ def synthesize(model: PiecewiseSinusoidModel, sample_rate_hz: float) -> Signal:
     return Signal(w, r)
 
 
-def _zero_crossing_times(s: Signal) -> np.ndarray:
-    """Times where the signal changes sign, linearly interpolated.
-
-    A sample that is exactly zero marks the crossing itself (when the
-    surrounding signs differ), so it is attributed to the following gap.
-    """
-    x = s.samples
-    rate = s.sample_rate_hz
-    times: list[float] = []
-    prev_sign = 0
-    prev_idx = -1
-    for i in range(x.size):
-        sign = int(x[i] > 0) - int(x[i] < 0)
-        if sign == 0:
-            continue
-        if prev_sign != 0 and sign != prev_sign:
-            if prev_idx == i - 1:
-                frac = x[i - 1] / (x[i - 1] - x[i])
-                times.append(((i - 1) + frac) / rate)
-            else:
-                times.append((prev_idx + 1) / rate)
-        prev_sign = sign
-        prev_idx = i
-    return np.asarray(times)
-
-
 @dataclass(frozen=True)
 class SegmentEstimate:
     """Constant-frequency intervals found in a signal.
@@ -272,7 +246,7 @@ def estimate_segments(s: Signal) -> SegmentEstimate:
     mean marks a frequency change. Raises NoZeroCrossingsError when the
     signal has fewer than two crossings.
     """
-    crossings = _zero_crossing_times(s)
+    crossings = crossing_positions(s.samples) / s.sample_rate_hz
     if crossings.size < 2:
         raise NoZeroCrossingsError(
             f"found {crossings.size} zero crossing(s), need at least 2"

@@ -22,6 +22,13 @@ from .errors import (
 
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# WAVE_FORMAT_EXTENSIBLE names its encoding by a sub-format GUID: the
+# plain format tag in two little-endian bytes, then a fixed tail.
+_SUBFORMATS = {
+    struct.pack("<H", tag) + bytes.fromhex("000000001000800000aa00389b71"): tag
+    for tag in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT)
+}
 
 
 @dataclass(frozen=True)
@@ -135,10 +142,25 @@ def _decode_pcm(data: bytes, bits: int, fmt: int, channels: int) -> np.ndarray:
     return vals
 
 
+def _format_tag(fmt_chunk: bytes, path: str | Path) -> int:
+    """The fmt chunk's format tag, read through the sub-format GUID of
+    WAVE_FORMAT_EXTENSIBLE, which only PCM and IEEE float pass."""
+    (fmt,) = struct.unpack_from("<H", fmt_chunk, 0)
+    if fmt != _WAVE_FORMAT_EXTENSIBLE:
+        return fmt
+    if len(fmt_chunk) < 40:
+        raise MalformedHeaderError(f"{path}: short WAVE_FORMAT_EXTENSIBLE fmt chunk")
+    guid = fmt_chunk[24:40]
+    if guid not in _SUBFORMATS:
+        raise UnsupportedEncodingError(f"extensible sub-format {guid.hex()}")
+    return _SUBFORMATS[guid]
+
+
 def load_wav(path: str | Path) -> Signal:
     """Read an uncompressed RIFF/WAVE file and downmix to mono.
 
-    Supports 8/16/24/32-bit integer PCM and 32-bit float payloads.
+    Supports 8/16/24/32-bit integer PCM and 32-bit float payloads, with
+    a plain format tag or as WAVE_FORMAT_EXTENSIBLE.
     Multi-channel audio is averaged across channels. Integer samples are
     scaled by the type's magnitude so values land in [-1, 1).
     """
@@ -166,13 +188,13 @@ def load_wav(path: str | Path) -> Signal:
     if data_chunk is None:
         raise MalformedHeaderError(f"{path}: missing data chunk")
 
-    fmt, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt_chunk, 0)
+    _, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt_chunk, 0)
     if channels < 1:
         raise MalformedHeaderError(f"{path}: zero channels")
     if rate <= 0:
         raise MalformedHeaderError(f"{path}: nonpositive sample rate")
 
-    vals = _decode_pcm(data_chunk, bits, fmt, channels)
+    vals = _decode_pcm(data_chunk, bits, _format_tag(fmt_chunk, path), channels)
     if vals.size == 0:
         raise EmptyAudioError(f"{path}: no audio frames")
     if vals.size < 2:

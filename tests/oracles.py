@@ -300,3 +300,67 @@ def maxmin_brute(points: np.ndarray, n: int, seed: int = 0) -> np.ndarray:
                 best_dist, best_idx = dmin, cand
         chosen.append(best_idx)
     return points[chosen]
+
+
+def zero_crossing_lags(v: np.ndarray) -> list[int]:
+    """Integer lags nearest to the sign changes of a curve, one sample at a time.
+
+    Zero samples are skipped; a sign change between adjacent samples is
+    interpolated linearly, one across zeros sits at the first zero.
+    """
+    lags: list[int] = []
+    prev_sign = 0
+    prev_idx = -1
+    for j in range(v.size):
+        sign = int(v[j] > 0) - int(v[j] < 0)
+        if sign == 0:
+            continue
+        if prev_sign != 0 and sign != prev_sign:
+            if prev_idx == j - 1:
+                frac = v[j - 1] / (v[j - 1] - v[j])
+                lag = int(round((j - 1) + frac))
+            else:
+                lag = prev_idx + 1
+            lags.append(max(lag, 1))
+        prev_sign = sign
+        prev_idx = j
+    return lags
+
+
+def zero_crossing_times(x: np.ndarray, rate: float) -> np.ndarray:
+    """Times where a sampled signal changes sign, one sample at a time."""
+    times: list[float] = []
+    prev_sign = 0
+    prev_idx = -1
+    for i in range(x.size):
+        sign = int(x[i] > 0) - int(x[i] < 0)
+        if sign == 0:
+            continue
+        if prev_sign != 0 and sign != prev_sign:
+            if prev_idx == i - 1:
+                frac = x[i - 1] / (x[i - 1] - x[i])
+                times.append(((i - 1) + frac) / rate)
+            else:
+                times.append((prev_idx + 1) / rate)
+        prev_sign = sign
+        prev_idx = i
+    return np.asarray(times)
+
+
+def critical_lags(v: np.ndarray) -> list[int]:
+    """Lags where the discrete derivative changes sign, one step at a time.
+
+    A run of zero derivative counts as one flat extremum at its midpoint.
+    """
+    crit: list[int] = []
+    prev_sign = 0
+    prev_pos = -1
+    for i, di in enumerate(np.diff(v)):
+        sign = int(di > 0) - int(di < 0)
+        if sign == 0:
+            continue
+        if prev_sign != 0 and sign != prev_sign:
+            crit.append(int(round((prev_pos + 1 + i) / 2)))
+        prev_sign = sign
+        prev_pos = i
+    return crit

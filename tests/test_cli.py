@@ -38,6 +38,7 @@ from topoperiod import (
     window,
     write_cloud_csv,
 )
+from topoperiod import cli as cli_module
 from topoperiod.cli import run
 from topoperiod.embedding import cloud_csv_text
 from topoperiod.signal_io import signal_csv_text
@@ -539,6 +540,19 @@ class TestExitCodesAndErrors:
         code, _, err = cli("synth", path, "--rate", "100")
         assert code == 1
         assert error_kind(err) == "InvalidInput"
+
+    @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"),
+                                     RuntimeError("boom"), ZeroDivisionError()])
+    def test_unexpected_exception_is_one_json_line(self, cli, sine, monkeypatch, exc):
+        def broken(args, cfg):
+            raise exc
+
+        monkeypatch.setitem(cli_module._DISPATCH, "detect", broken)
+        path, _ = sine
+        code, out, err = cli("detect", path)
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InternalError"
+        assert type(exc).__name__ in json.loads(err)["message"]
 
     def test_help_exits_zero(self, cli):
         code, out, _ = cli("--help")

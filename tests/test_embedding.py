@@ -16,17 +16,30 @@ from topoperiod import (
     acl,
     critical_points,
     delay_embed,
+    find_delay,
     hausdorff,
+    normalize,
     read_cloud_csv,
     select_delay,
     synthesize,
     write_cloud_csv,
 )
-from topoperiod.embedding import cloud_csv_text
+from topoperiod import embedding
+from topoperiod.embedding import cloud_csv_text, crossing_positions
 from topoperiod.subsampling import SplitMix64
 
-from fixtures import wheeze_model
-from oracles import fit_conic
+from fixtures import (
+    GAUSS_SEEDS,
+    NOISE_SEEDS,
+    fit_fixture,
+    gauss_noise,
+    noise_signal,
+    reference_signal,
+    wheeze_model,
+)
+from oracles import critical_lags, fit_conic, zero_crossing_lags
+
+STRATEGIES = ("first-zero", "second-zero", "mid-critical")
 
 
 def _sine(period_samples: int, periods: int, amp: float = 1.0, phase: float = 0.0,
@@ -124,6 +137,129 @@ class TestSelectDelay:
             curve = acl(_sine(20, 3))
             j = select_delay(curve, strategy)
             assert 1 <= j < len(curve)
+
+
+@pytest.fixture(scope="module")
+def fixture_signals() -> list[Signal]:
+    """Every signal family of the fixtures, at 4 kHz and, for tones, 16 kHz.
+
+    At 16 kHz a tone is long enough for find_delay to evaluate its curve
+    lazily; the 4 kHz signals are short enough to take the full curve.
+    """
+    sigs = []
+    for i in range(30):
+        sigs.append(synthesize(wheeze_model(i), 4000.0))
+        sigs.append(synthesize(wheeze_model(i), 16000.0))
+        sigs.append(synthesize(fit_fixture(i), 4000.0))
+    sigs += [noise_signal(seed) for seed in NOISE_SEEDS]
+    sigs += [noise_signal(seed, n=16000, rate=16000.0) for seed in NOISE_SEEDS[:3]]
+    sigs += [gauss_noise(seed) for seed in GAUSS_SEEDS]
+    sigs.append(reference_signal())
+    return sigs
+
+
+def _outcome(fn, *args):
+    """A call's result, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except (NoZeroCrossingError, NoCriticalPointsError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_delays(s: Signal) -> None:
+    curve = acl(s)
+    for strategy in STRATEGIES:
+        assert _outcome(find_delay, s, strategy) == _outcome(select_delay, curve, strategy)
+
+
+class TestCrossingScanner:
+    HAND_CURVES = [
+        [1.0, -1.0],
+        [1.0, 1.0, 1.0],
+        [0.0, 0.0, 1.0, -2.0, 0.0, 0.0, 3.0, 0.0, -1.0],
+        [-2.0, 0.0, 0.0, 0.0, 2.0, 1.0, -1.0, 1.0],
+        [0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 2.0, 2.0, -5.0],
+    ]
+
+    def test_matches_loop_oracle_on_hand_curves(self):
+        for values in self.HAND_CURVES:
+            v = np.asarray(values)
+            lags = np.maximum(np.rint(crossing_positions(v)), 1).astype(int).tolist()
+            assert lags == zero_crossing_lags(v)
+            assert embedding._critical_lags(v).tolist() == critical_lags(v)
+
+    def test_matches_loop_oracle_on_fixture_curves(self, fixture_signals):
+        for s in fixture_signals[::3]:
+            v = acl(normalize(s)).values
+            lags = np.maximum(np.rint(crossing_positions(v)), 1).astype(int).tolist()
+            assert lags == zero_crossing_lags(v)
+            assert embedding._critical_lags(v).tolist() == critical_lags(v)
+
+    def test_touching_zero_is_the_crossing(self):
+        v = np.array([3.0, 1.0, 0.0, 0.0, -1.0])
+        assert crossing_positions(v).tolist() == [2.0]
+
+    def test_adjacent_values_interpolate(self):
+        v = np.array([3.0, 1.0, -3.0])
+        assert crossing_positions(v).tolist() == [1.25]
+
+
+class TestFindDelay:
+    def test_equals_full_curve_on_every_fixture(self, fixture_signals):
+        for s in fixture_signals:
+            _assert_same_delays(normalize(s))
+
+    @pytest.mark.parametrize(
+        "period, straddle, lag",
+        [(1018.0, 254, 255), (1019.5, 255, 256), (1022.0, 256, 257)],
+    )
+    def test_crossing_at_the_first_block_boundary(self, monkeypatch, period, straddle, lag):
+        s = Signal(np.sin(2 * np.pi * np.arange(20000) / period), 1.0)
+        assert int(crossing_positions(acl(s).values)[0]) == straddle
+        _assert_same_delays(s)
+        # With the full curve unavailable, the lazy blocks alone find it.
+        monkeypatch.setattr(embedding, "acl", None)
+        assert find_delay(s, "first-zero") == lag
+
+    def test_curve_touching_zero_on_the_block_boundary(self, monkeypatch):
+        # Lag 256 pairs every nonzero sample with a zero one, so the curve
+        # is exactly 0 there, positive before and negative after.
+        x = np.tile(np.repeat([1.0, 0.0, -1.0, 0.0], 256), 20)
+        s = Signal(x, 1.0)
+        v = acl(s).values
+        assert v[255] > 0 and v[256] == 0.0 and v[257] < 0
+        _assert_same_delays(s)
+        monkeypatch.setattr(embedding, "acl", None)
+        assert find_delay(s, "first-zero") == 256
+
+    def test_curve_with_exact_zeros_at_every_odd_lag(self):
+        _assert_same_delays(Signal(np.tile([1.0, 0.0, -1.0, 0.0], 5000), 1.0))
+
+    @pytest.mark.parametrize("k", [2, 3, 100, 255])
+    def test_shorter_than_one_block(self, k):
+        _assert_same_delays(Signal(np.cos(np.arange(k) * 0.7), 1.0))
+        _assert_same_delays(Signal(np.ones(k), 1.0))
+
+    def test_no_crossing_raises_the_full_curve_error(self):
+        s = Signal(1.0 + 0.5 * np.sin(np.arange(20000) * 0.003), 1.0)
+        with pytest.raises(NoZeroCrossingError, match=r"^curve has 0 zero crossing\(s\), 1 needed$"):
+            find_delay(s, "first-zero")
+        _assert_same_delays(s)
+
+    def test_second_zero_with_one_crossing(self):
+        # A +1/-1 pulse pair: the curve crosses zero once, stays negative
+        # to lag 19 and is exactly zero from lag 20 on.
+        x = np.zeros(20000)
+        x[:10], x[10:20] = 1.0, -1.0
+        s = Signal(x, 1.0)
+        assert find_delay(s, "first-zero") == 7
+        with pytest.raises(NoZeroCrossingError, match=r"^curve has 1 zero crossing\(s\), 2 needed$"):
+            find_delay(s, "second-zero")
+        _assert_same_delays(s)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown delay strategy"):
+            find_delay(_sine(100, 2), "third-zero")
 
 
 class TestDelayEmbed:

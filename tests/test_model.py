@@ -19,9 +19,11 @@ from topoperiod import (
     hausdorff,
     synthesize,
 )
+from topoperiod.embedding import crossing_positions
 from topoperiod.subsampling import SplitMix64
 
-from fixtures import fit_fixture, gauss_noise
+from fixtures import GAUSS_SEEDS, fit_fixture, gauss_noise
+from oracles import zero_crossing_times
 
 
 def _ptp(s: Signal) -> float:
@@ -163,6 +165,15 @@ class TestEstimateSegments:
         est = estimate_segments(s)
         for mu, f in zip(est.gap_means, est.frequencies):
             assert f == 1.0 / (2.0 * mu)
+
+    def test_crossing_times_match_loop_oracle(self):
+        sigs = [synthesize(fit_fixture(i), 4000.0) for i in range(30)]
+        sigs += [gauss_noise(seed) for seed in GAUSS_SEEDS]
+        sigs.append(Signal(np.array([0.0, 1.0, 0.0, 0.0, -2.0, 1.0, 0.0, 3.0, -1.0]), 8.0))
+        for s in sigs:
+            times = crossing_positions(s.samples) / s.sample_rate_hz
+            want = zero_crossing_times(s.samples, s.sample_rate_hz)
+            assert times.tobytes() == want.tobytes()
 
 
 class TestFitEnvelope:

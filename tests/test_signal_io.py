@@ -32,6 +32,25 @@ def _wav_bytes(fmt: int, channels: int, rate: int, bits: int, frames: bytes) -> 
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
 
 
+_PCM_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _extensible_wav_bytes(
+    channels: int, rate: int, bits: int, frames: bytes, sub_tag: int = 1,
+    guid_tail: bytes = _PCM_GUID_TAIL,
+) -> bytes:
+    """A WAVE_FORMAT_EXTENSIBLE blob: a 40-byte fmt chunk naming its sub-format."""
+    byte_rate = rate * channels * bits // 8
+    block = channels * bits // 8
+    fmt_chunk = struct.pack("<HHIIHH", 0xFFFE, channels, rate, byte_rate, block, bits)
+    fmt_chunk += struct.pack("<HHI", 22, bits, 0) + struct.pack("<H", sub_tag) + guid_tail
+    body = b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
+    body += b"data" + struct.pack("<I", len(frames)) + frames
+    if len(frames) % 2:
+        body += b"\x00"
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
 class TestSignalType:
     def test_basic_fields(self):
         s = Signal(np.array([1.0, 2.0, 3.0, 4.0]), 4.0)
@@ -154,6 +173,48 @@ class TestLoadWav:
         p = tmp_path / "one.wav"
         p.write_bytes(_wav_bytes(1, 1, 1000, 16, struct.pack("<h", 7)))
         with pytest.raises(EmptyAudioError):
+            load_wav(p)
+
+
+class TestLoadWavExtensible:
+    def test_16bit_mono(self, tmp_path):
+        frames = struct.pack("<4h", 0, 16384, -16384, 32767)
+        p = tmp_path / "ext16.wav"
+        p.write_bytes(_extensible_wav_bytes(1, 44100, 16, frames))
+        s = load_wav(p)
+        assert s.sample_rate_hz == 44100.0
+        assert np.array_equal(s.samples, [0.0, 0.5, -0.5, 32767 / 32768])
+
+    def test_24bit_stereo(self, tmp_path):
+        def enc(v: int) -> bytes:
+            return (v & 0xFFFFFF).to_bytes(3, "little")
+
+        # L=[1/2, -1], R=[1/2, 0]
+        frames = enc(1 << 22) + enc(1 << 22) + enc(-(1 << 23)) + enc(0)
+        p = tmp_path / "ext24.wav"
+        p.write_bytes(_extensible_wav_bytes(2, 96000, 24, frames))
+        s = load_wav(p)
+        assert s.sample_rate_hz == 96000.0
+        assert np.array_equal(s.samples, [0.5, -0.5])
+
+    def test_float_sub_format(self, tmp_path):
+        frames = struct.pack("<2f", 0.25, -0.75)
+        p = tmp_path / "extf.wav"
+        p.write_bytes(_extensible_wav_bytes(1, 8000, 32, frames, sub_tag=3))
+        assert np.array_equal(load_wav(p).samples, [0.25, -0.75])
+
+    def test_unknown_guid_rejected(self, tmp_path):
+        frames = struct.pack("<2h", 0, 1)
+        for sub_tag, tail in [(2, _PCM_GUID_TAIL), (1, bytes(14))]:
+            p = tmp_path / "extx.wav"
+            p.write_bytes(_extensible_wav_bytes(1, 1000, 16, frames, sub_tag, tail))
+            with pytest.raises(UnsupportedEncodingError):
+                load_wav(p)
+
+    def test_missing_extension_rejected(self, tmp_path):
+        p = tmp_path / "short.wav"
+        p.write_bytes(_wav_bytes(0xFFFE, 1, 1000, 16, struct.pack("<2h", 0, 1)))
+        with pytest.raises(MalformedHeaderError):
             load_wav(p)
 
 
