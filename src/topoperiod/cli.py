@@ -38,7 +38,12 @@ from .embedding import (
 from .errors import TopoperiodError
 from .metrics import bottleneck, hausdorff
 from .model import PiecewiseSinusoidModel, fit_model, synthesize
-from .persistence import PersistenceDiagram, persistent_homology, rips_filtration
+from .persistence import (
+    PersistenceDiagram,
+    h1_diagram,
+    persistent_homology,
+    rips_filtration,
+)
 from .render import render_svg
 from .signal_io import Signal, load_csv, load_wav, signal_csv_text, window
 
@@ -161,8 +166,13 @@ def _cmd_persist(args: argparse.Namespace, cfg: dict) -> int:
     max_dim = _resolve(args, cfg, "max_dim", 2, int)
     eps_opt = _resolve(args, cfg, "max_eps", "auto", str)
     max_eps: str | float = "auto" if eps_opt == "auto" else float(eps_opt)
-    filtration = rips_filtration(cloud, max_dim=max_dim, max_eps=max_eps)
-    diagram = persistent_homology(filtration)
+    if max_dim == 2:
+        # The same diagram as the explicit two-skeleton, without storing
+        # its triangles.
+        diagram = h1_diagram(cloud, max_eps)
+    else:
+        filtration = rips_filtration(cloud, max_dim=max_dim, max_eps=max_eps)
+        diagram = persistent_homology(filtration)
     if args.render is not None:
         Path(args.render).write_text(render_svg(diagram))
     _emit(_json_text(diagram.to_dicts()), args.out)

@@ -19,12 +19,7 @@ from .errors import (
     NoZeroCrossingError,
     SignalTooShortError,
 )
-from .persistence import (
-    PersistenceDiagram,
-    h1_diagram,
-    persistent_homology,
-    rips_filtration,
-)
+from .persistence import PersistenceDiagram, h1_diagram
 from .signal_io import Signal, normalize
 from .subsampling import maxmin, random_subsample
 
@@ -35,8 +30,10 @@ _LABELS = ("harmonic", "non-harmonic", "undecidable")
 class PipelineConfig:
     """Tunable knobs for detect().
 
-    ``delay`` overrides the automatic choice when set. ``method`` picks
-    the subsampling scheme, "random" or "maxmin".
+    ``threshold`` is the significance cutoff. ``subsample_size`` points
+    are kept by ``method``, "random" or "maxmin", seeded with ``seed``.
+    ``strategy`` picks the delay rule; ``delay`` overrides the automatic
+    choice when set.
     """
 
     threshold: float = 0.15
@@ -45,8 +42,6 @@ class PipelineConfig:
     method: str = "random"
     strategy: str = "first-zero"
     delay: int | None = None
-    embed_dim: int = 2
-    max_dim: int = 2
 
     def __post_init__(self) -> None:
         if self.method not in ("random", "maxmin"):
@@ -106,7 +101,7 @@ def detect(s: Signal, config: PipelineConfig | None = None) -> DetectionReport:
             delay = int(cfg.delay)
         else:
             delay = find_delay(normed, cfg.strategy)
-        cloud = delay_embed(normed, delay, cfg.embed_dim)
+        cloud = delay_embed(normed, delay)
     except (NoZeroCrossingError, NoCriticalPointsError, SignalTooShortError) as exc:
         return DetectionReport(
             label="undecidable",
@@ -142,13 +137,7 @@ def detect(s: Signal, config: PipelineConfig | None = None) -> DetectionReport:
             reason="degenerate cloud with zero diameter",
         )
 
-    if cfg.max_dim == 2:
-        # The edge-column reduction gives the same dimension 0/1 diagram
-        # without materializing triangles, so larger subsamples stay cheap.
-        diagram = h1_diagram(sub)
-    else:
-        filtration = rips_filtration(sub, max_dim=cfg.max_dim, max_eps="auto")
-        diagram = persistent_homology(filtration)
+    diagram = h1_diagram(sub)
     score = significance(diagram, diameter)
     label = "harmonic" if score >= cfg.threshold else "non-harmonic"
     return DetectionReport(

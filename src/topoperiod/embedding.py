@@ -235,7 +235,8 @@ def select_delay(curve: AclCurve, strategy: str = "first-zero") -> int:
     return _delay_from(_feature_lags(curve.values, strategy), strategy, len(curve))
 
 
-# Lazy evaluation starts with this many lags and doubles the block each time.
+# Lazy evaluation starts with at most this many lags and doubles the block
+# each time.
 _FIRST_BLOCK = 256
 # Overhead of one np.dot call, in multiply-adds of the dot product itself
 # (about 9 000 measured on an x86-64 vCPU with OpenBLAS).
@@ -253,14 +254,16 @@ def find_delay(s: Signal, strategy: str = "first-zero") -> int:
     more than a sixteenth of the k^2 multiply-adds of ``acl``'s
     ``np.correlate``; the curve then comes from one full ``acl`` call, so
     a curve without the feature costs at most about a sixteenth extra.
-    The errors, messages included, are those of ``select_delay``.
+    The first block is 256 lags, or on a shorter signal the most lags
+    that budget admits; below about 400 samples it admits none. The
+    errors, messages included, are those of ``select_delay``.
     """
     _check_strategy(strategy)
     x = s.samples
     k = x.size
     vals = np.empty(k)
-    m, block = 0, _FIRST_BLOCK
-    while 16 * (m + block) * (k + _DOT_CALL_COST) <= k * k:
+    m, block = 0, min(_FIRST_BLOCK, k * k // (16 * (k + _DOT_CALL_COST)))
+    while block and 16 * (m + block) * (k + _DOT_CALL_COST) <= k * k:
         for j in range(m, m + block):
             vals[j] = np.dot(x[: k - j], x[j:])
         m += block

@@ -8,6 +8,8 @@ with a union-find sweep (which yields the same interval multiset as
 matrix reduction, since every vertex is born at 0) and dimensions 1 and
 up with the standard boundary-matrix column reduction, processed from the
 top dimension down so columns already known to be births are cleared.
+``h1_diagram`` gives dimensions 0 and 1 from the same sorted edges and
+union-find sweep without storing triangles.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -38,27 +38,70 @@ class Filtration:
 
     n_vertices: int
     max_dim: int
-    max_eps: float
     simplices: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
         return int(sum(v.size for v in self.values))
 
-    def _stream(self, d: int) -> Iterator[tuple[float, int, tuple[int, ...]]]:
-        rows, vals = self.simplices[d], self.values[d]
-        for i in range(vals.size):
-            yield float(vals[i]), d, tuple(int(v) for v in rows[i])
 
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int, float]]:
-        """Yield (vertices, dim, value) in global filtration order.
+def _sorted_edges(
+    cloud: PointCloud, max_eps: float | str | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Distances, adjacency and the edges within the cutoff in filtration order.
 
-        The global order sorts by value, then dimension, then vertex
-        tuple, which guarantees faces precede cofaces.
-        """
-        streams = [self._stream(d) for d in range(self.max_dim + 1)]
-        for value, dim, verts in heapq.merge(*streams):
-            yield verts, dim, value
+    Returns ``(dist, adj, iu, ju, ev)``: edge t joins ``iu[t] < ju[t]``
+    at value ``ev[t]``, sorted by (value, iu, ju). "auto" (or None) as
+    ``max_eps`` uses the cloud diameter, so nothing is truncated.
+    """
+    if len(cloud) == 0:
+        raise EmptyCloudError("cannot compute persistence of an empty cloud")
+    dist = squareform(pdist(cloud.points))
+    if max_eps is None or max_eps == "auto":
+        eps = float(dist.max())
+    else:
+        eps = float(max_eps)
+        if eps < 0:
+            raise ValueError("max_eps must be nonnegative")
+    adj = dist <= eps
+    np.fill_diagonal(adj, False)
+    iu, ju = np.nonzero(np.triu(adj, 1))
+    ev = dist[iu, ju]
+    order = np.lexsort((ju, iu, ev))
+    return dist, adj, iu[order], ju[order], ev[order]
+
+
+def _dim0(
+    n: int, iu: np.ndarray, ju: np.ndarray, ev: np.ndarray
+) -> tuple[list[PersistenceInterval], np.ndarray]:
+    """Dimension-0 intervals and the spanning-tree edges, by a Kruskal sweep.
+
+    Every vertex is born at value 0 and each component-merging edge
+    kills exactly one class at its own value, so union-find over the
+    sorted edges reproduces the interval multiset of full reduction.
+    """
+    out: list[PersistenceInterval] = []
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    tree_edge = np.zeros(len(ev), dtype=bool)
+    components = n
+    for idx, (u, v, val) in enumerate(zip(iu.tolist(), ju.tolist(), ev.tolist())):
+        ru = find(u)
+        rv = find(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree_edge[idx] = True
+            components -= 1
+            if val > 0.0:
+                out.append(PersistenceInterval(0, 0.0, val))
+    out.extend(PersistenceInterval(0, 0.0, math.inf) for _ in range(components))
+    return out, tree_edge
 
 
 def rips_filtration(
@@ -77,36 +120,16 @@ def rips_filtration(
         Distance cutoff for simplex inclusion. "auto" (or None) uses the
         cloud diameter, so nothing is truncated.
     """
-    n = len(cloud)
-    if n == 0:
-        raise EmptyCloudError("cannot build a filtration on an empty cloud")
+    dist, adj, iu, ju, ev = _sorted_edges(cloud, max_eps)
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
+    n = len(cloud)
 
-    if n == 1:
-        dist = np.zeros((1, 1))
-        diameter = 0.0
-    else:
-        dist = squareform(pdist(cloud.points))
-        diameter = float(dist.max())
-    if max_eps is None or max_eps == "auto":
-        eps = diameter
-    else:
-        eps = float(max_eps)
-        if eps < 0:
-            raise ValueError("max_eps must be nonnegative")
-
-    simplices: list[np.ndarray] = [np.arange(n, dtype=np.int64).reshape(-1, 1)]
-    values: list[np.ndarray] = [np.zeros(n)]
-
-    adj = dist <= eps
-    np.fill_diagonal(adj, False)
-    iu, ju = np.nonzero(np.triu(adj, 1))
-    ev = dist[iu, ju]
-    order = np.lexsort((ju, iu, ev))
-    edges = np.column_stack((iu, ju))[order].astype(np.int64)
-    simplices.append(edges)
-    values.append(ev[order])
+    simplices: list[np.ndarray] = [
+        np.arange(n, dtype=np.int64).reshape(-1, 1),
+        np.column_stack((iu, ju)).astype(np.int64),
+    ]
+    values: list[np.ndarray] = [np.zeros(n), ev]
 
     if max_dim >= 2:
         tri_rows, tri_vals = _enumerate_triangles(dist, adj)
@@ -121,7 +144,6 @@ def rips_filtration(
     return Filtration(
         n_vertices=n,
         max_dim=max_dim,
-        max_eps=eps,
         simplices=tuple(simplices),
         values=tuple(values),
     )
@@ -250,36 +272,10 @@ def persistent_homology(filtration: Filtration) -> PersistenceDiagram:
         Intervals sorted by (dim, birth, death), death ``inf`` for classes
         that never die within the filtration.
     """
-    out: list[PersistenceInterval] = []
-
     edges = filtration.simplices[1]
     edge_vals = filtration.values[1]
-
-    # Dimension 0: Kruskal sweep. Every vertex is born at value 0, each
-    # component-merging edge kills exactly one class at its own value, so
-    # union-find reproduces the interval multiset of full reduction.
     n = filtration.n_vertices
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    tree_edge = np.zeros(len(edges), dtype=bool)
-    components = n
-    for idx in range(len(edges)):
-        ru = find(int(edges[idx, 0]))
-        rv = find(int(edges[idx, 1]))
-        if ru != rv:
-            parent[ru] = rv
-            tree_edge[idx] = True
-            components -= 1
-            val = float(edge_vals[idx])
-            if val > 0.0:
-                out.append(PersistenceInterval(0, 0.0, val))
-    out.extend(PersistenceInterval(0, 0.0, math.inf) for _ in range(components))
+    out, tree_edge = _dim0(n, edges[:, 0], edges[:, 1], edge_vals)
 
     # Dimensions >= 1: reduce boundary matrices from the top dimension
     # down. Lows of the reduced matrix one dimension up are simplices
@@ -389,51 +385,10 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
     spanning-tree edges) are exactly the columns the edge-side reduction
     may skip.
     """
+    _, adj, iu, ju, ev = _sorted_edges(cloud, max_eps)
     n = len(cloud)
-    if n == 0:
-        raise EmptyCloudError("cannot compute persistence of an empty cloud")
-    if n == 1:
-        return PersistenceDiagram((PersistenceInterval(0, 0.0, math.inf),))
-
-    dist = squareform(pdist(cloud.points))
-    if max_eps is None or max_eps == "auto":
-        eps = float(dist.max())
-    else:
-        eps = float(max_eps)
-        if eps < 0:
-            raise ValueError("max_eps must be nonnegative")
-
-    adj = dist <= eps
-    np.fill_diagonal(adj, False)
-    iu, ju = np.nonzero(np.triu(adj, 1))
-    ev = dist[iu, ju]
-    order = np.lexsort((ju, iu, ev))
-    iu, ju, ev = iu[order], ju[order], ev[order]
     n_edges = int(iu.size)
-
-    out: list[PersistenceInterval] = []
-
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    tree_edge = np.zeros(n_edges, dtype=bool)
-    components = n
-    for idx in range(n_edges):
-        ru = find(int(iu[idx]))
-        rv = find(int(ju[idx]))
-        if ru != rv:
-            parent[ru] = rv
-            tree_edge[idx] = True
-            components -= 1
-            val = float(ev[idx])
-            if val > 0.0:
-                out.append(PersistenceInterval(0, 0.0, val))
-    out.extend(PersistenceInterval(0, 0.0, math.inf) for _ in range(components))
+    out, tree_edge = _dim0(n, iu, ju, ev)
 
     if n_edges == 0:
         return PersistenceDiagram(tuple(out))

@@ -229,6 +229,30 @@ class TestPersistCommand:
         h1 = [r for r in records if r["dim"] == 1]
         assert len(h1) == 1 and h1[0]["death"] is None
 
+    @pytest.mark.parametrize("extra", [
+        ["--max-dim", "1"], ["--max-dim", "2"], ["--max-dim", "3"], ["--max-eps", "0.4"],
+    ])
+    def test_bytes_match_the_explicit_filtration(self, cli, tmp_path, extra):
+        # A random cloud plus a lattice, so many distances are tied.
+        rng = np.random.default_rng(3)
+        lattice = np.array([[i / 3, j / 3] for i in range(3) for j in range(3)])
+        cloud = PointCloud(np.vstack((rng.random((7, 2)), lattice)))
+        path = tmp_path / "cloud.csv"
+        write_cloud_csv(cloud, path)
+        code, out, _ = cli("persist", path, *extra)
+        assert code == 0
+        max_dim = int(extra[1]) if extra[0] == "--max-dim" else 2
+        max_eps = float(extra[1]) if extra[0] == "--max-eps" else "auto"
+        expected = persistent_homology(rips_filtration(cloud, max_dim, max_eps))
+        assert out == json.dumps(expected.to_dicts(), sort_keys=True, indent=2) + "\n"
+
+    def test_negative_max_eps_on_one_point_is_invalid(self, cli, tmp_path):
+        path = tmp_path / "one.csv"
+        write_cloud_csv(PointCloud(np.array([[1.0, 2.0]])), path)
+        code, out, err = cli("persist", path, "--max-eps", "-1")
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+
     def test_empty_cloud_reports_domain_error(self, cli, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# nothing here\n")

@@ -232,6 +232,15 @@ class TestFindDelay:
         monkeypatch.setattr(embedding, "acl", None)
         assert find_delay(s, "first-zero") == 256
 
+    def test_short_tone_takes_the_lazy_path(self, monkeypatch):
+        # At k = 4000 the budget admits a first block of 71 lags, which
+        # holds every feature of a 200 Hz tone sampled at 4 kHz.
+        s = Signal(np.sin(2 * np.pi * 200.0 * np.arange(4000) / 4000.0), 4000.0)
+        curve = acl(s)
+        expected = [select_delay(curve, strategy) for strategy in STRATEGIES]
+        monkeypatch.setattr(embedding, "acl", None)
+        assert [find_delay(s, strategy) for strategy in STRATEGIES] == expected
+
     def test_curve_with_exact_zeros_at_every_odd_lag(self):
         _assert_same_delays(Signal(np.tile([1.0, 0.0, -1.0, 0.0], 5000), 1.0))
 

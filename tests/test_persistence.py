@@ -81,23 +81,26 @@ class TestRipsFiltration:
             rips_filtration(_square(), max_dim=0)
         with pytest.raises(ValueError):
             rips_filtration(_square(), max_dim=2, max_eps=-1.0)
+        for cloud in (_square(), PointCloud(np.array([[2.0, 2.0]]))):
+            with pytest.raises(ValueError):
+                h1_diagram(cloud, max_eps=-1.0)
 
     def test_iteration_order_and_closure(self):
         cloud = _random_cloud(31, 9)
         f = rips_filtration(cloud, max_dim=2)
-        seen: set[tuple[int, ...]] = set()
-        keys = []
-        for verts, dim, value in f:
-            assert len(verts) == dim + 1
-            assert list(verts) == sorted(verts)
-            for drop in range(len(verts)):
-                face = verts[:drop] + verts[drop + 1 :]
-                if face:
-                    assert face in seen or len(face) == 0
-            seen.add(verts)
-            keys.append((value, dim, verts))
-        assert keys == sorted(keys)
-        assert len(keys) == len(f)
+        value_of: dict[tuple[int, ...], float] = {}
+        for d in range(f.max_dim + 1):
+            rows = [tuple(int(v) for v in r) for r in f.simplices[d]]
+            vals = f.values[d].tolist()
+            assert all(len(r) == d + 1 and list(r) == sorted(r) for r in rows)
+            keys = list(zip(vals, rows))
+            assert keys == sorted(keys)
+            for value, verts in keys:
+                for drop in range(len(verts) if d else 0):
+                    face = verts[:drop] + verts[drop + 1 :]
+                    assert value_of[face] <= value
+                value_of[verts] = value
+        assert len(value_of) == len(f)
 
     def test_value_is_vertex_set_diameter(self):
         cloud = _random_cloud(32, 8)
@@ -238,6 +241,27 @@ class TestH1DiagramAgreement:
         fast = h1_diagram(cloud, max_eps=cut)
         slow = persistent_homology(rips_filtration(cloud, max_dim=2, max_eps=cut))
         assert diagram_multiset(fast) == diagram_multiset(slow)
+
+    @pytest.mark.parametrize("side", [3, 4, 5, 6, 7])
+    def test_grid_clouds_cut_at_tied_distances(self, side):
+        grid = np.array([[i, j] for i in range(side) for j in range(side)], dtype=float)
+        cloud = PointCloud(grid)
+        cuts = [1.0, math.sqrt(2.0)] + (["auto"] if side <= 4 else [])
+        for cut in cuts:
+            fast = h1_diagram(cloud, max_eps=cut)
+            slow = persistent_homology(rips_filtration(cloud, max_dim=2, max_eps=cut))
+            assert fast == slow
+
+    def test_integer_clouds_with_duplicate_points(self):
+        rng = SplitMix64(85)
+        for count in (10, 18, 26):
+            pts = np.array([[rng.below(4), rng.below(4)] for _ in range(count)], dtype=float)
+            cloud = PointCloud(pts)
+            assert len({tuple(p) for p in pts.tolist()}) < count
+            for cut in ("auto", 1.0, 2.0):
+                fast = h1_diagram(cloud, max_eps=cut)
+                slow = persistent_homology(rips_filtration(cloud, max_dim=2, max_eps=cut))
+                assert fast == slow
 
     def test_tiny_clouds(self):
         one = PointCloud(np.array([[1.0, 2.0]]))
