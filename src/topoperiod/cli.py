@@ -233,7 +233,7 @@ def _cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
 def _cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
     manifest = Path(args.manifest)
     base = manifest.parent
-    entries: list[tuple[str, str]] = []
+    entries: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -241,9 +241,17 @@ def _cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise ValueError(f"{manifest}:{lineno}: expected \"path,label\"")
-        entries.append((parts[0], parts[1]))
+        entries.append((lineno, parts[0], parts[1]))
     pipeline = _pipeline_config(args, cfg)
-    dataset = [(_load_signal(str(base / p), None), lab) for p, lab in entries]
+    dataset: list[tuple[Signal, str]] = []
+    for lineno, path, truth in entries:
+        try:
+            dataset.append((_load_signal(str(base / path), None), truth))
+        except (TopoperiodError, OSError, ValueError) as exc:
+            # Name the manifest line; the error keeps its kind.
+            located = TopoperiodError(f"{manifest}:{lineno}: {exc}")
+            located.kind = _error_kind(exc)
+            raise located from exc
     result = evaluate(dataset, pipeline)
     payload = {
         "accuracy": result.accuracy,
@@ -262,7 +270,7 @@ def _cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
                 "significance": rep.significance_score,
                 "truth": truth,
             }
-            for (path, truth), rep in zip(entries, result.reports)
+            for (_, path, truth), rep in zip(entries, result.reports)
         ],
     }
     _emit(_json_text(payload), args.out)
@@ -419,26 +427,25 @@ def run(argv: list[str]) -> int:
     try:
         cfg = _load_config(args)
         return _DISPATCH[args.command](args, cfg)
-    except TopoperiodError as exc:
-        _fail(exc.kind, str(exc))
-        return 1
-    except FileNotFoundError as exc:
-        _fail("FileNotFound", str(exc))
-        return 1
-    except OSError as exc:
-        _fail("IOError", str(exc))
-        return 1
-    except json.JSONDecodeError as exc:
-        _fail("InvalidInput", str(exc))
-        return 1
-    except (ValueError, KeyError, TypeError) as exc:
-        _fail("InvalidInput", str(exc))
-        return 1
     except Exception as exc:
-        # A defect or an exhausted resource, RecursionError included,
-        # still ends as one JSON error line rather than a traceback.
-        _fail("InternalError", f"{type(exc).__name__}: {exc}")
+        # Every error, a defect or an exhausted resource (RecursionError
+        # included) too, ends as one JSON error line, not a traceback.
+        kind = _error_kind(exc)
+        _fail(kind, f"{type(exc).__name__}: {exc}" if kind == "InternalError" else str(exc))
         return 1
+
+
+def _error_kind(exc: Exception) -> str:
+    """The ``kind`` the CLI reports for an exception."""
+    if isinstance(exc, TopoperiodError):
+        return exc.kind
+    if isinstance(exc, FileNotFoundError):
+        return "FileNotFound"
+    if isinstance(exc, OSError):
+        return "IOError"
+    if isinstance(exc, (ValueError, KeyError, TypeError)):
+        return "InvalidInput"
+    return "InternalError"
 
 
 def _fail(kind: str, message: str) -> None:

@@ -9,7 +9,11 @@ matrix reduction, since every vertex is born at 0) and dimensions 1 and
 up with the standard boundary-matrix column reduction, processed from the
 top dimension down so columns already known to be births are cleared.
 ``h1_diagram`` gives dimensions 0 and 1 from the same sorted edges and
-union-find sweep without storing triangles.
+union-find sweep without storing triangles. It builds a coboundary column
+only for an edge that is not an apparent pair: edge t=(u,v) is apparent
+when some w has both edges to u and v ranked below t, and pairs with the
+triangle of the smallest such w. A triangle key's owner edge is
+``key // n³``, which finds an apparent column when a reduction needs it.
 """
 
 from __future__ import annotations
@@ -369,117 +373,113 @@ def _reduce_dim(
     return pivot_col_of_row, zero_cols
 
 
+def _pop_pivot(heap: list[tuple[int, int]], srcs: list[list[int]], pos: list[int]) -> int:
+    """Pop the smallest key held by an odd number of sources, or return -1.
+
+    ``heap`` holds ``(srcs[s][pos[s]], s)`` for each source s not yet used
+    up; every popped entry is replaced by its source's next one.
+    """
+    while heap:
+        x = heap[0][0]
+        parity = 0
+        while heap and heap[0][0] == x:
+            s = heap[0][1]
+            pos[s] += 1
+            if pos[s] < len(srcs[s]):
+                heapq.heapreplace(heap, (srcs[s][pos[s]], s))
+            else:
+                heapq.heappop(heap)
+            parity ^= 1
+        if parity:
+            return x
+    return -1
+
+
 def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> PersistenceDiagram:
     """Dimension 0 and 1 persistence of a cloud without storing triangles.
 
     Produces the same diagram as ``persistent_homology`` of a max_dim=2
     Rips filtration, but works on the coboundary side: one column per
-    edge, holding the triangles that contain it, processed in reverse
-    filtration order. Pairing a column's reduced pivot with the column's
-    edge yields the same interval multiset as boundary reduction, while
-    never materializing the cubically many triangles, so clouds of a few
-    hundred points stay cheap where the explicit two-skeleton would not
-    fit in memory.
+    edge, holding the triangles that contain it, reduced in reverse
+    filtration order; a column's pivot is its smallest triangle. The
+    spanning-tree edges of the union-find sweep are dimension-0 deaths
+    and need no column.
 
-    Dimension 0 comes from a union-find sweep; its death edges (the
-    spanning-tree edges) are exactly the columns the edge-side reduction
-    may skip.
+    Most other edges t=(u,v) are apparent pairs: some w has both edges to
+    u and v ranked below t. The pivot of t is then the triangle {u, v, w}
+    of the smallest such w, which no column reduced before t can hold, so
+    t pairs with it as a zero-length bar and needs no column either.
+    Only the remaining edges are reduced. A triangle's key names its
+    owner, the edge ``key // n³``; a pivot that is its owner's apparent
+    triangle is reduced by the owner's coboundary, built on first use.
     """
     _, adj, iu, ju, ev = _sorted_edges(cloud, max_eps)
     n = len(cloud)
     n_edges = int(iu.size)
     out, tree_edge = _dim0(n, iu, ju, ev)
 
-    if n_edges == 0:
-        return PersistenceDiagram(tuple(out))
-
-    rank = np.zeros((n, n), dtype=np.int64)
-    rank[iu, ju] = np.arange(n_edges)
-    rank[ju, iu] = np.arange(n_edges)
+    # Edge ranks, with n_edges for pairs that are not edges.
+    rank = np.full((n, n), n_edges, dtype=np.int32)
+    rank[iu, ju] = rank[ju, iu] = np.arange(n_edges, dtype=np.int32)
 
     # A triangle is keyed by (rank of its last edge, vertex triple), one
     # int64. Key order refines filtration-value order, and the key's high
     # part recovers the triangle's value, which is its last edge's value.
-    n2 = n * n
-    n3 = n2 * n
-    ev_list = [float(x) for x in ev]
-    iu_list = iu.tolist()
-    ju_list = ju.tolist()
-    tree_list = tree_edge.tolist()
+    n3 = n**3
+
+    def triple(u, v, w):
+        # Sorted {u, v, w} as base-n digits; u < v, so it grows with w.
+        lo = np.minimum(u, w)
+        hi = np.maximum(v, w)
+        return (lo * n + (u + v + w - lo - hi)) * n + hi
+
+    # apparent_pivot[t] is t's pivot if t is an apparent pair, else -1.
+    # Blocks of edges bound the temporaries; argmax finds the first w.
+    cycle_edges = np.flatnonzero(~tree_edge)
+    apparent_pivot = np.full(n_edges, -1, dtype=np.int64)
+    for start in range(0, cycle_edges.size, 512):
+        t = cycle_edges[start : start + 512]
+        below = np.maximum(rank[iu[t]], rank[ju[t]]) < t[:, None]
+        w = below.argmax(axis=1)
+        hit = below[np.arange(t.size), w]
+        t, w = t[hit], w[hit]
+        apparent_pivot[t] = t * n3 + triple(iu[t], ju[t], w)
+
+    def coboundary(t: int) -> np.ndarray:
+        u, v = int(iu[t]), int(ju[t])
+        ws = np.flatnonzero(adj[u] & adj[v])
+        tstar = np.maximum(np.maximum(rank[u, ws], rank[v, ws]), t).astype(np.int64)
+        return np.sort(tstar * n3 + triple(u, v, ws))
 
     stored: dict[int, np.ndarray] = {}
-    for t in range(n_edges - 1, -1, -1):
-        if tree_list[t]:
-            # Tree edges were paired as deaths in dimension 0 already;
-            # their columns are guaranteed to reduce to zero.
+
+    def column(key: int) -> np.ndarray | None:
+        col = stored.get(key)
+        if col is None and apparent_pivot[key // n3] == key:
+            col = stored[key] = coboundary(key // n3)
+        return col
+
+    # The working column is the GF(2) sum of its sources, sorted key lists
+    # merged lazily through a min-heap of each source's next entry: an
+    # addition costs one push, and only entries up to the final pivot
+    # are ever popped.
+    for t in cycle_edges[apparent_pivot[cycle_edges] < 0][::-1].tolist():
+        srcs = [coboundary(t).tolist()]
+        pos = [0]
+        heap = [(srcs[0][0], 0)] if srcs[0] else []
+        while (low := _pop_pivot(heap, srcs, pos)) >= 0 and (other := column(low)) is not None:
+            if other.size > 1:
+                heapq.heappush(heap, (int(other[1]), len(srcs)))
+            srcs.append(other.tolist())
+            pos.append(1)
+        if low < 0:
+            out.append(PersistenceInterval(1, float(ev[t]), math.inf))
             continue
-        u = iu_list[t]
-        v = ju_list[t]
-        ws = np.flatnonzero(adj[u] & adj[v])
-        if ws.size:
-            tstar = np.maximum(np.maximum(rank[u, ws], rank[v, ws]), t)
-            lo = np.minimum(min(u, v), ws)
-            hi = np.maximum(max(u, v), ws)
-            mid = (u + v) + ws - lo - hi
-            col = np.sort(tstar * n3 + lo * n2 + mid * n + hi)
-        else:
-            col = np.empty(0, dtype=np.int64)
-        if col.size == 0:
-            out.append(PersistenceInterval(1, ev_list[t], math.inf))
-            continue
-        low = int(col[0])
-        other = stored.get(low)
-        if other is None:
-            stored[low] = col
-            birth = ev_list[t]
-            death = ev_list[low // n3]
-            if death > birth:
-                out.append(PersistenceInterval(1, birth, death))
-            continue
-        # Collision: resolve by addition chains. The working column lives
-        # in a min-heap as a multiset whose odd-multiplicity keys are the
-        # column; adding a stored column pushes its entries instead of
-        # rewriting the whole working set. A sorted array is already a
-        # valid heap, and stored pivots cancel the popped one, so only
-        # the tails get pushed. Popped pivots increase strictly, which
-        # keeps the materialized remainder sorted.
-        heap = col.tolist()
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        while True:
-            low = -1
-            while heap:
-                x = heappop(heap)
-                parity = 1
-                while heap and heap[0] == x:
-                    heappop(heap)
-                    parity ^= 1
-                if parity:
-                    low = x
-                    break
-            if low < 0:
-                out.append(PersistenceInterval(1, ev_list[t], math.inf))
-                break
-            other = stored.get(low)
-            if other is None:
-                if heap:
-                    vals, counts = np.unique(
-                        np.fromiter(heap, dtype=np.int64, count=len(heap)),
-                        return_counts=True,
-                    )
-                    rest = vals[counts % 2 == 1]
-                    stored[low] = np.concatenate(
-                        (np.asarray([low], dtype=np.int64), rest)
-                    )
-                else:
-                    stored[low] = np.asarray([low], dtype=np.int64)
-                birth = ev_list[t]
-                death = ev_list[low // n3]
-                if death > birth:
-                    out.append(PersistenceInterval(1, birth, death))
-                break
-            for x in other[1:].tolist():
-                heappush(heap, x)
+        tails = np.concatenate([np.asarray(src[p:], dtype=np.int64) for src, p in zip(srcs, pos)])
+        vals, counts = np.unique(tails, return_counts=True)
+        stored[low] = np.concatenate(([low], vals[counts % 2 == 1]))
+        if ev[low // n3] > ev[t]:
+            out.append(PersistenceInterval(1, float(ev[t]), float(ev[low // n3])))
 
     return PersistenceDiagram(tuple(out))
 

@@ -472,6 +472,28 @@ class TestEvalCommand:
         assert code == 1
         assert error_kind(err) == "FileNotFound"
 
+    def test_missing_entry_names_its_manifest_line(self, cli, tmp_path):
+        save_csv(noise_signal(NOISE_SEED_FOR_CLI), tmp_path / "noise.csv")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("# path,label\nnoise.csv,non-harmonic\n\nmissing.csv,harmonic\n")
+        code, out, err = cli("eval", manifest)
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["kind"] == "FileNotFound"
+        assert report["message"].startswith(f"{manifest}:4: ")
+        assert "missing.csv" in report["message"]
+
+    def test_non_numeric_entry_names_its_manifest_line(self, cli, tmp_path):
+        (tmp_path / "b.csv").write_text("0.5\nhello\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("b.csv,harmonic\n")
+        code, _, err = cli("eval", manifest)
+        assert code == 1
+        report = json.loads(err)
+        assert report["kind"] == "MalformedHeader"
+        assert report["message"].startswith(f"{manifest}:1: ")
+        assert report["message"].endswith("b.csv:2: not a number: 'hello'")
+
     def test_malformed_manifest_line_is_invalid(self, cli, tmp_path):
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("just-a-path-without-label\n")

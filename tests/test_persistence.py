@@ -11,12 +11,18 @@ from topoperiod import (
     PersistenceInterval,
     PointCloud,
     betti_curve,
+    delay_embed,
+    find_delay,
     h1_diagram,
+    normalize,
     persistent_homology,
+    random_subsample,
     rips_filtration,
+    synthesize,
 )
 from topoperiod.subsampling import SplitMix64
 
+from fixtures import noise_signal, wheeze_model
 from oracles import diagram_multiset, persistent_beta1, rank_diagram
 
 
@@ -226,21 +232,21 @@ class TestH1DiagramAgreement:
             cloud = _random_cloud(seed, count)
             fast = h1_diagram(cloud)
             slow = persistent_homology(rips_filtration(cloud, max_dim=2))
-            assert diagram_multiset(fast) == diagram_multiset(slow)
+            assert fast == slow
 
     def test_duplicate_points(self):
         base = _random_cloud(83, 12).points
         cloud = PointCloud(np.vstack((base, base[:3])))
         fast = h1_diagram(cloud)
         slow = persistent_homology(rips_filtration(cloud, max_dim=2))
-        assert diagram_multiset(fast) == diagram_multiset(slow)
+        assert fast == slow
 
     def test_truncated_threshold(self):
         cloud = _random_cloud(84, 40)
         cut = 0.45 * cloud.diameter()
         fast = h1_diagram(cloud, max_eps=cut)
         slow = persistent_homology(rips_filtration(cloud, max_dim=2, max_eps=cut))
-        assert diagram_multiset(fast) == diagram_multiset(slow)
+        assert fast == slow
 
     @pytest.mark.parametrize("side", [3, 4, 5, 6, 7])
     def test_grid_clouds_cut_at_tied_distances(self, side):
@@ -263,11 +269,42 @@ class TestH1DiagramAgreement:
                 slow = persistent_homology(rips_filtration(cloud, max_dim=2, max_eps=cut))
                 assert fast == slow
 
+    @pytest.mark.parametrize(
+        "index", [0, 2, 4, None], ids=["wheeze0", "wheeze2", "wheeze4", "noise1"]
+    )
+    def test_delay_embedding_clouds(self, index):
+        # Wheeze and noise embeddings: most of their reductions add the
+        # columns of apparent pairs, which are built only when needed.
+        signal = noise_signal(1) if index is None else synthesize(wheeze_model(index), 4000)
+        normed = normalize(signal)
+        sub = random_subsample(delay_embed(normed, find_delay(normed)), 60, 0)
+        for cut in ("auto", 0.3 * sub.diameter()):
+            fast = h1_diagram(sub, max_eps=cut)
+            slow = persistent_homology(rips_filtration(sub, max_dim=2, max_eps=cut))
+            assert fast == slow
+
     def test_tiny_clouds(self):
         one = PointCloud(np.array([[1.0, 2.0]]))
         assert h1_diagram(one).to_dicts() == [{"dim": 0, "birth": 0.0, "death": None}]
         twin = PointCloud(np.array([[1.0, 2.0], [1.0, 2.0]]))
         assert h1_diagram(twin).to_dicts() == [{"dim": 0, "birth": 0.0, "death": None}]
+
+
+class TestH1DiagramRankOracle:
+    def test_matches_rank_oracle_on_small_clouds(self):
+        rng = SplitMix64(3006)
+        for trial in range(200):
+            count = 2 + rng.below(7)
+            dim = 2 + rng.below(2)
+            cloud = _random_cloud(rng.next_u64(), count, dim)
+            assert diagram_multiset(h1_diagram(cloud)) == rank_diagram(cloud.points), trial
+
+    @pytest.mark.parametrize("side", [3, 4])
+    def test_grids_match_rank_oracle_at_tied_cutoffs(self, side):
+        grid = np.array([[i, j] for i in range(side) for j in range(side)], dtype=float)
+        for cut in (1.0, math.sqrt(2.0)):
+            fast = h1_diagram(PointCloud(grid), max_eps=cut)
+            assert diagram_multiset(fast) == rank_diagram(grid, max_eps=cut)
 
 
 class TestBettiCurve:
