@@ -42,7 +42,6 @@ from .errors import (
     SignalTooShortError,
     TopoperiodError,
     UnsupportedEncodingError,
-    UsageError,
 )
 from .metrics import bottleneck, hausdorff
 from .model import (
@@ -101,7 +100,6 @@ __all__ = [
     "SplitMix64",
     "TopoperiodError",
     "UnsupportedEncodingError",
-    "UsageError",
     "acl",
     "betti_curve",
     "h1_diagram",

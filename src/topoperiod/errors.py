@@ -95,9 +95,3 @@ class EmptyArtifactError(TopoperiodError):
     """Nothing to render."""
 
     kind = "EmptyArtifact"
-
-
-class UsageError(TopoperiodError):
-    """Malformed command-line or configuration input."""
-
-    kind = "UsageError"

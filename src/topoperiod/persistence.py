@@ -8,6 +8,10 @@ with a union-find sweep (which yields the same interval multiset as
 matrix reduction, since every vertex is born at 0) and dimensions 1 and
 up with the standard boundary-matrix column reduction, processed from the
 top dimension down so columns already known to be births are cleared.
+``rips_filtration`` grows each dimension from the one below by adding a
+common neighbour above a simplex's last vertex, triangles included, and
+the reduction finds the row of every facet by the dense rank of its
+vertex prefixes, the same lookup in every dimension.
 ``h1_diagram`` gives dimensions 0 and 1 from the same sorted edges and
 union-find sweep without storing triangles. It builds a coboundary column
 only for an edge that is not an apparent pair: edge t=(u,v) is apparent
@@ -135,13 +139,8 @@ def rips_filtration(
     ]
     values: list[np.ndarray] = [np.zeros(n), ev]
 
-    if max_dim >= 2:
-        tri_rows, tri_vals = _enumerate_triangles(dist, adj)
-        simplices.append(tri_rows)
-        values.append(tri_vals)
-
-    for d in range(3, max_dim + 1):
-        rows, vals = _extend_cliques(simplices[d - 1], values[d - 1], dist, adj)
+    for _ in range(2, max_dim + 1):
+        rows, vals = _grow_cliques(simplices[-1], values[-1], dist, adj)
         simplices.append(rows)
         values.append(vals)
 
@@ -153,49 +152,38 @@ def rips_filtration(
     )
 
 
-def _enumerate_triangles(dist: np.ndarray, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All 3-cliques of the adjacency graph with their filtration values."""
-    n = adj.shape[0]
-    parts: list[np.ndarray] = []
-    for i in range(n):
-        nb = np.nonzero(adj[i, i + 1 :])[0] + i + 1
-        if nb.size < 2:
-            continue
-        sub = adj[np.ix_(nb, nb)]
-        pj, pk = np.nonzero(np.triu(sub, 1))
-        if pj.size:
-            parts.append(np.column_stack((np.full(pj.size, i, dtype=np.int64), nb[pj], nb[pk])))
-    if not parts:
-        return np.empty((0, 3), dtype=np.int64), np.empty(0)
-    rows = np.concatenate(parts)
-    vals = np.maximum(
-        dist[rows[:, 0], rows[:, 1]],
-        np.maximum(dist[rows[:, 0], rows[:, 2]], dist[rows[:, 1], rows[:, 2]]),
-    )
-    order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], vals))
-    return rows[order], vals[order]
+# Rows of (d-1)-simplices grown at a time; bounds the (rows, n) masks.
+_GROW_BLOCK = 512
 
 
-def _extend_cliques(
+def _grow_cliques(
     prev: np.ndarray, prev_vals: np.ndarray, dist: np.ndarray, adj: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grow (d-1)-simplices into d-simplices by one common neighbor."""
-    n = adj.shape[0]
-    out_rows: list[np.ndarray] = []
-    out_vals: list[float] = []
-    idx = np.arange(n)
-    for row, val in zip(prev, prev_vals):
-        common = np.all(adj[row], axis=0) & (idx > row[-1])
-        for c in np.nonzero(common)[0]:
-            out_rows.append(np.append(row, c))
-            out_vals.append(max(float(val), float(dist[row, c].max())))
-    if not out_rows:
-        width = prev.shape[1] + 1
-        return np.empty((0, width), dtype=np.int64), np.empty(0)
-    rows = np.asarray(out_rows, dtype=np.int64)
-    vals = np.asarray(out_vals)
-    keys = tuple(rows[:, c] for c in range(rows.shape[1] - 1, -1, -1)) + (vals,)
-    order = np.lexsort(keys)
+    """Grow (d-1)-simplices into d-simplices by one common neighbor.
+
+    Each simplex gains every vertex above its last one that is adjacent
+    to all of its vertices; the new value is the larger of the old one
+    and the distances to the new vertex. Rows come back in filtration
+    order: by value, then lexicographically by vertices.
+    """
+    width = prev.shape[1] + 1
+    idx = np.arange(adj.shape[0])
+    parts: list[np.ndarray] = [np.empty((0, width), dtype=np.int64)]
+    part_vals: list[np.ndarray] = [np.empty(0)]
+    for start in range(0, len(prev), _GROW_BLOCK):
+        block = prev[start : start + _GROW_BLOCK]
+        common = idx > block[:, -1:]
+        for c in range(block.shape[1]):
+            common &= adj[block[:, c]]
+        r, v = np.nonzero(common)
+        grown = block[r]
+        parts.append(np.column_stack((grown, v)))
+        part_vals.append(
+            np.maximum(prev_vals[start + r], dist[grown, v[:, None]].max(axis=1))
+        )
+    rows = np.concatenate(parts)
+    vals = np.concatenate(part_vals)
+    order = np.lexsort(tuple(rows[:, c] for c in range(width - 1, -1, -1)) + (vals,))
     return rows[order], vals[order]
 
 
@@ -291,26 +279,7 @@ def persistent_homology(filtration: Filtration) -> PersistenceDiagram:
         col_vals = filtration.values[p]
         rows = filtration.simplices[p - 1]
         row_vals = filtration.values[p - 1]
-        if p == 2:
-            rank_of = np.full((n, n), -1, dtype=np.int64)
-            rank_of[edges[:, 0], edges[:, 1]] = np.arange(len(edges))
-            facet_ranks = [
-                rank_of[cols[:, 0], cols[:, 1]],
-                rank_of[cols[:, 0], cols[:, 2]],
-                rank_of[cols[:, 1], cols[:, 2]],
-            ]
-        else:
-            lookup = {tuple(int(v) for v in rows[i]): i for i in range(len(rows))}
-            facet_ranks = []
-            for drop in range(p + 1):
-                keep = [c for c in range(p + 1) if c != drop]
-                facet_ranks.append(
-                    np.asarray(
-                        [lookup[tuple(int(v) for v in r[keep])] for r in cols],
-                        dtype=np.int64,
-                    )
-                )
-        paired_rows, zero_cols = _reduce_dim(facet_ranks, len(rows), len(cols), cleared)
+        paired_rows, zero_cols = _reduce_dim(_facet_ranks(rows, cols, n), cleared)
         if p < filtration.max_dim:
             # Columns that vanished are births of p-classes; nothing one
             # dimension up paired them (those were cleared), so they are
@@ -336,30 +305,48 @@ def persistent_homology(filtration: Filtration) -> PersistenceDiagram:
     return PersistenceDiagram(tuple(out))
 
 
+def _facet_ranks(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Row rank of each facet of each column, one array per dropped vertex.
+
+    Every row and facet is named by the dense rank of its vertex prefix,
+    refined one vertex at a time as ``rank * n + vertex``, so no key
+    exceeds ``len(rows) * n``. A facet whose prefix is not among the
+    rows' prefixes is missing from the filtration, a ``ValueError``.
+    """
+    width = cols.shape[1]
+    facets = np.concatenate([np.delete(cols, drop, axis=1) for drop in range(width)])
+    row_key = rows[:, 0]
+    facet_key = facets[:, 0]
+    for c in range(1, width - 1):
+        prefixes, row_key = np.unique(row_key * n + rows[:, c], return_inverse=True)
+        query = facet_key * n + facets[:, c]
+        facet_key = np.searchsorted(prefixes, query)
+        if not np.array_equal(np.append(prefixes, -1)[facet_key], query):
+            raise ValueError("filtration is missing a facet of one of its simplices")
+    row_of_key = np.empty(len(rows), dtype=np.int64)
+    row_of_key[row_key] = np.arange(len(rows))
+    return row_of_key[facet_key].reshape(width, -1)
+
+
 def _reduce_dim(
-    facet_ranks: list[np.ndarray],
-    n_rows: int,
-    n_cols: int,
-    skip_cols: set[int],
+    facet_ranks: np.ndarray, skip_cols: set[int]
 ) -> tuple[dict[int, int], list[int]]:
     """Column-reduce one boundary matrix over GF(2).
 
+    ``facet_ranks[k][c]`` is the row rank of column c's k-th facet.
     Columns are processed in filtration order as big-integer bitmasks over
     row ranks. Returns the pairing (row rank of each pivot mapped to its
     column rank) and the list of columns that reduced to zero.
     """
-    shifts = [1 << r for r in range(n_rows)]
-    facet_lists = [fr.tolist() for fr in facet_ranks]
     pivot_col_of_row: dict[int, int] = {}
     stored: dict[int, int] = {}
     zero_cols: list[int] = []
-    n_facets = len(facet_lists)
-    for c in range(n_cols):
+    for c, facets in enumerate(zip(*facet_ranks.tolist())):
         if c in skip_cols:
             continue
         col = 0
-        for fl in range(n_facets):
-            col ^= shifts[facet_lists[fl][c]]
+        for r in facets:
+            col ^= 1 << r
         while col:
             low = col.bit_length() - 1
             other = stored.get(low)

@@ -231,6 +231,7 @@ class TestPersistCommand:
 
     @pytest.mark.parametrize("extra", [
         ["--max-dim", "1"], ["--max-dim", "2"], ["--max-dim", "3"], ["--max-eps", "0.4"],
+        ["--max-dim", "4"],
     ])
     def test_bytes_match_the_explicit_filtration(self, cli, tmp_path, extra):
         # A random cloud plus a lattice, so many distances are tied.
@@ -245,6 +246,14 @@ class TestPersistCommand:
         max_eps = float(extra[1]) if extra[0] == "--max-eps" else "auto"
         expected = persistent_homology(rips_filtration(cloud, max_dim, max_eps))
         assert out == json.dumps(expected.to_dicts(), sort_keys=True, indent=2) + "\n"
+
+    def test_octahedron_dimension_two_bar(self, cli, tmp_path):
+        path = tmp_path / "octahedron.csv"
+        write_cloud_csv(PointCloud(np.vstack((np.eye(3), -np.eye(3)))), path)
+        code, out, _ = cli("persist", path, "--max-dim", "3")
+        assert code == 0
+        h2 = [r for r in json.loads(out) if r["dim"] == 2]
+        assert h2 == [{"dim": 2, "birth": math.sqrt(2.0), "death": 2.0}]
 
     def test_negative_max_eps_on_one_point_is_invalid(self, cli, tmp_path):
         path = tmp_path / "one.csv"

@@ -1,12 +1,14 @@
 """Rips filtrations, barcode reduction, Betti curves."""
 
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from topoperiod import (
     EmptyCloudError,
+    Filtration,
     PersistenceDiagram,
     PersistenceInterval,
     PointCloud,
@@ -20,6 +22,7 @@ from topoperiod import (
     rips_filtration,
     synthesize,
 )
+from topoperiod.persistence import _GROW_BLOCK
 from topoperiod.subsampling import SplitMix64
 
 from fixtures import noise_signal, wheeze_model
@@ -41,6 +44,23 @@ def _square() -> PointCloud:
 def _circle(n: int = 64) -> PointCloud:
     t = 2 * np.pi * np.arange(n) / n
     return PointCloud(np.column_stack((np.cos(t), np.sin(t))))
+
+
+_GROWER_CLOUDS = ("random", "integer", "over_block")
+
+
+def _grower_cloud(kind: str) -> PointCloud:
+    """Clouds for the clique grower: random, tied with duplicates, or big."""
+    if kind == "random":
+        return _random_cloud(31, 9)
+    if kind == "integer":
+        rng = SplitMix64(33)
+        pts = np.array([[rng.below(3), rng.below(3)] for _ in range(12)], dtype=float)
+        assert len({tuple(p) for p in pts.tolist()}) < len(pts)
+        return PointCloud(pts)
+    # Every vertex set is a simplex, so there are C(16, 3) = 560 triangles
+    # and C(16, 4) = 1820 tetrahedra to grow from.
+    return _random_cloud(34, 16)
 
 
 class TestRipsFiltration:
@@ -92,31 +112,38 @@ class TestRipsFiltration:
                 h1_diagram(cloud, max_eps=-1.0)
 
     def test_iteration_order_and_closure(self):
-        cloud = _random_cloud(31, 9)
-        f = rips_filtration(cloud, max_dim=2)
-        value_of: dict[tuple[int, ...], float] = {}
-        for d in range(f.max_dim + 1):
-            rows = [tuple(int(v) for v in r) for r in f.simplices[d]]
-            vals = f.values[d].tolist()
-            assert all(len(r) == d + 1 and list(r) == sorted(r) for r in rows)
-            keys = list(zip(vals, rows))
-            assert keys == sorted(keys)
-            for value, verts in keys:
-                for drop in range(len(verts) if d else 0):
-                    face = verts[:drop] + verts[drop + 1 :]
-                    assert value_of[face] <= value
-                value_of[verts] = value
-        assert len(value_of) == len(f)
+        for kind, max_dim in product(_GROWER_CLOUDS, [2, 3, 4]):
+            f = rips_filtration(_grower_cloud(kind), max_dim=max_dim)
+            value_of: dict[tuple[int, ...], float] = {}
+            for d in range(f.max_dim + 1):
+                assert f.simplices[d].dtype == np.int64 and f.values[d].dtype == np.float64
+                rows = [tuple(int(v) for v in r) for r in f.simplices[d]]
+                vals = f.values[d].tolist()
+                assert all(len(r) == d + 1 and list(r) == sorted(set(r)) for r in rows)
+                keys = list(zip(vals, rows))
+                assert keys == sorted(keys)
+                for value, verts in keys:
+                    for drop in range(len(verts) if d else 0):
+                        face = verts[:drop] + verts[drop + 1 :]
+                        assert value_of[face] <= value
+                    value_of[verts] = value
+            assert len(value_of) == len(f), (kind, max_dim)
 
     def test_value_is_vertex_set_diameter(self):
-        cloud = _random_cloud(32, 8)
         from scipy.spatial.distance import pdist, squareform
 
-        dist = squareform(pdist(cloud.points))
-        f = rips_filtration(cloud, max_dim=2)
-        for row, value in zip(f.simplices[2], f.values[2]):
-            i, j, k = (int(v) for v in row)
-            assert value == max(dist[i, j], dist[i, k], dist[j, k])
+        for kind, max_dim in product(_GROWER_CLOUDS, [2, 3, 4]):
+            cloud = _grower_cloud(kind)
+            dist = squareform(pdist(cloud.points))
+            f = rips_filtration(cloud, max_dim=max_dim)
+            for d in range(2, max_dim + 1):
+                assert len(f.simplices[d]) > 0, (kind, max_dim)
+                for row, value in zip(f.simplices[d].tolist(), f.values[d].tolist()):
+                    assert value == max(dist[i, j] for i, j in combinations(row, 2))
+
+    def test_over_block_cloud_spans_several_blocks(self):
+        f = rips_filtration(_grower_cloud("over_block"), max_dim=4)
+        assert len(f.simplices[2]) > _GROW_BLOCK and len(f.simplices[3]) > _GROW_BLOCK
 
 
 class TestPersistentHomology:
@@ -215,6 +242,36 @@ class TestPersistentHomology:
                 )
                 chi_homology = sum((-1) ** d * curves[d](eps) for d in range(n - 1))
                 assert chi_simplices == chi_homology
+
+    @pytest.mark.parametrize("max_dim", [3, 4])
+    def test_octahedron_has_one_dimension_two_bar(self, max_dim):
+        # The six points +-e_i span an octahedron surface at sqrt(2); the
+        # cross-polytope's antipodal edges, all of length 2, fill it in.
+        octahedron = PointCloud(np.vstack((np.eye(3), -np.eye(3))))
+        diagram = persistent_homology(rips_filtration(octahedron, max_dim=max_dim))
+        assert diagram.in_dim(2) == [PersistenceInterval(2, math.sqrt(2.0), 2.0)]
+        assert diagram.in_dim(1) == []
+        assert [iv.death for iv in diagram.in_dim(0)] == [math.sqrt(2.0)] * 5 + [math.inf]
+        assert [iv.dim for iv in diagram.intervals if iv.dim >= 3] == []
+
+    def test_missing_facet_rejected(self):
+        # A hand-built filtration that is not closed under faces: a
+        # triangle without its edge (0, 2), and a tetrahedron without its
+        # triangle (0, 1, 2), whose two-vertex prefix is still present.
+        f = rips_filtration(_square(), max_dim=3)
+        keep = [e != [0, 2] for e in f.simplices[1].tolist()]
+        no_edge = Filtration(
+            4, 2, (f.simplices[0], f.simplices[1][keep], f.simplices[2]),
+            (f.values[0], f.values[1][keep], f.values[2]),
+        )
+        assert f.simplices[2][0].tolist() == [0, 1, 2]
+        no_triangle = Filtration(
+            4, 3, f.simplices[:2] + (f.simplices[2][1:], f.simplices[3]),
+            f.values[:2] + (f.values[2][1:], f.values[3]),
+        )
+        for broken in (no_edge, no_triangle):
+            with pytest.raises(ValueError, match="missing a facet"):
+                persistent_homology(broken)
 
     def test_component_count_at_zero(self):
         cloud = _random_cloud(60, 17)
