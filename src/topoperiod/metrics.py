@@ -2,8 +2,24 @@
 
 The bottleneck distance is computed exactly: the optimum is always one of
 the finitely many candidate costs (pairwise interval distances and
-diagonal projection costs), so a binary search over the sorted candidates
-with a bipartite matching feasibility test at each step finds it.
+diagonal projection costs), so a search over the sorted candidates with a
+bipartite matching feasibility test at each step finds it (Efrat, Itai &
+Katz 2001; Kerber, Morozov & Nigmetov 2017).
+
+- **Bounded candidates.** No interval can be served for less than the
+  cheaper of its diagonal cost and its cheapest cross cost, and matching
+  nothing across is always feasible, so only the candidates between the
+  largest such bound and the largest diagonal cost are searched. The
+  search tries the bound first and gallops upward from it before it
+  bisects, because the answer is most often the bound or just above it.
+- **Prefix adjacency.** Each row of the cost matrix is argsorted once per
+  call; the neighbours of an interval at threshold t are then the first
+  ``deg`` entries of its sorted row, turned into a Python list only as
+  far as some step has needed.
+- **Iterative, warm-started matching.** Augmenting paths are found on an
+  explicit stack, so there is no recursion depth limit. Each side keeps
+  its matching from step to step, minus the pairs that cost more than
+  the new threshold and the intervals that need no longer be matched.
 """
 
 from __future__ import annotations
@@ -40,57 +56,112 @@ def hausdorff(a: PointCloud, b: PointCloud) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def _interval_arrays(diagram: PersistenceDiagram, dim: int) -> tuple[np.ndarray, list[float]]:
-    finite = np.asarray(
-        [(iv.birth, iv.death) for iv in diagram.finite(dim)], dtype=np.float64
-    ).reshape(-1, 2)
-    essential_births = [iv.birth for iv in diagram.essential(dim)]
-    return finite, essential_births
+def _interval_arrays(diagram: PersistenceDiagram, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(birth, death) rows of the finite intervals and births of the essential ones.
 
-
-def _saturates(adj: list[list[int]], must: list[int], n_right: int) -> bool:
-    """Can a matching cover every left node in ``must``?
-
-    Kuhn's augmenting-path search started from the mandatory nodes only.
-    Optional left nodes are drawn into the matching only via alternating
-    paths, so success means exactly that all mandatory nodes are covered.
+    Raises ``ValueError`` on the intervals ``PersistenceDiagram.from_dicts``
+    rejects: a birth that is not finite, or a death that is NaN or below
+    its birth.
     """
-    match_right: list[int] = [-1] * n_right
+    ivs = [iv for iv in diagram.intervals if iv.dim == dim]
+    births, deaths = np.array(
+        [iv.birth for iv in ivs] + [iv.death for iv in ivs], dtype=np.float64
+    ).reshape(2, -1)
+    if not (np.isfinite(births).all() and (births <= deaths).all()):
+        raise ValueError(
+            f"dimension-{dim} intervals need finite births and deaths not below them"
+        )
+    finite = np.isfinite(deaths)
+    return np.column_stack((births[finite], deaths[finite])), births[~finite]
 
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                if match_right[j] == -1 or augment(match_right[j], seen):
-                    match_right[j] = i
-                    return True
-        return False
 
-    for i in must:
-        if not augment(i, [False] * n_right):
-            return False
+def _cover(rows: list[list[int]], deg: list[int], must: list[int],
+           slot: list[int], match_r: list[int]) -> bool:
+    """Extend a matching until it covers every left node in ``must``.
+
+    Left node i is adjacent to the first ``deg[i]`` entries of ``rows[i]``
+    and matched to ``rows[i][slot[i]]`` (``slot[i] == -1``: unmatched);
+    ``match_r`` is the inverse. Every left node matched on entry must be
+    in ``must``. Searches then start from the unmatched mandatory nodes
+    only and draw optional nodes in through no path, so a search that
+    fails with fresh marks proves that no matching covers ``must``
+    (Berge). Augmenting paths are found depth-first on an explicit stack:
+    no recursion. The searches of one phase share their marks, so a phase
+    visits each right node once; a root that fails after another root of
+    its phase succeeded is tried again in the next phase.
+    """
+    n_right = len(match_r)
+    pending = [root for root in must if slot[root] == -1]
+    while pending:
+        seen = bytearray(n_right)
+        grown = False
+        retry = []
+        for root in pending:
+            path, pos = [root], [0]
+            while path:
+                i = path[-1]
+                row, d, k = rows[i], deg[i], pos[-1]
+                while k < d and seen[row[k]]:
+                    k += 1
+                if k == d:
+                    path.pop()
+                    pos.pop()
+                    continue
+                pos[-1] = k + 1
+                j = row[k]
+                seen[j] = 1
+                if match_r[j] == -1:
+                    for i, k in zip(path, pos):
+                        slot[i] = k - 1
+                        match_r[rows[i][k - 1]] = i
+                    grown = True
+                    break
+                path.append(match_r[j])
+                pos.append(0)
+            else:
+                if not grown:
+                    return False
+                retry.append(root)
+        pending = retry
     return True
 
 
-def _feasible(cost: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray, t: float) -> bool:
-    """Is there a partial matching with every assignment cost <= t?
+class _Side:
+    """One side's feasibility test: can its mandatory intervals be covered?
 
-    Intervals whose diagonal cost exceeds t must be matched across; for
-    bipartite graphs, if each side's mandatory set can be covered
-    separately then both can be covered by one matching.
+    Each row of ``cost`` is argsorted once, so the neighbours of left
+    node i at threshold t are a prefix of its sorted row. Only the longest
+    prefix a step has needed is kept as a Python list. The matching is
+    kept from step to step. Before each step its pairs that cost more
+    than t and its left nodes that are no longer mandatory are dropped;
+    what is left is valid at t and a warm start for ``_cover``.
     """
-    edges_ok = cost <= t
-    must_a = [i for i in range(len(diag_a)) if diag_a[i] > t]
-    must_b = [j for j in range(len(diag_b)) if diag_b[j] > t]
-    if must_a:
-        adj_a = [list(np.nonzero(edges_ok[i])[0]) for i in range(len(diag_a))]
-        if not _saturates(adj_a, must_a, len(diag_b)):
-            return False
-    if must_b:
-        adj_b = [list(np.nonzero(edges_ok[:, j])[0]) for j in range(len(diag_b))]
-        if not _saturates(adj_b, must_b, len(diag_a)):
-            return False
-    return True
+
+    def __init__(self, cost: np.ndarray, diag: np.ndarray) -> None:
+        self.cost, self.diag = cost, diag
+        self.order = np.argsort(cost, axis=1, kind="stable")
+        self.rows: list[list[int]] = [[] for _ in range(cost.shape[0])]
+        self.width = np.zeros(cost.shape[0], dtype=np.intp)
+        self.diag_list = diag.tolist()
+        self.slot = [-1] * cost.shape[0]
+        self.match_r = [-1] * cost.shape[1]
+
+    def feasible(self, t: float) -> bool:
+        must = np.flatnonzero(self.diag > t).tolist()
+        if not must:
+            return True
+        deg_arr = np.count_nonzero(self.cost <= t, axis=1)
+        deg = deg_arr.tolist()
+        wider = np.flatnonzero(deg_arr > self.width)
+        for i in wider.tolist():
+            self.rows[i] = self.order[i, : deg[i]].tolist()
+        self.width[wider] = deg_arr[wider]
+        slot, match_r = self.slot, self.match_r
+        for i, k in enumerate(slot):
+            if k != -1 and (k >= deg[i] or self.diag_list[i] <= t):
+                slot[i] = -1
+                match_r[self.rows[i][k]] = -1
+        return _cover(self.rows, deg, must, slot, match_r)
 
 
 def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
@@ -100,6 +171,18 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     the diagonal (half their length); essential intervals only to other
     essential intervals. Diagrams with different essential counts are
     infinitely far apart.
+
+    The answer is the smallest candidate cost t at which a matching exists
+    whose every assignment costs at most t. Only the candidates between
+    a lower bound and the largest diagonal cost are searched (see the
+    module docstring); the search tests the lower bound, gallops upward
+    until a test succeeds, then bisects. A test at t covers the intervals
+    of A whose diagonal cost exceeds t, then those of B: in a bipartite
+    graph both sets can be covered by one matching when each can be
+    covered alone (Mendelsohn-Dulmage). The matching is grown with
+    iterative augmenting paths over prefix adjacency, warm-started from
+    the previous step, and the answer is the same float the plain binary
+    search over all candidates gives.
     """
     fin_a, ess_a = _interval_arrays(a, dim)
     fin_b, ess_b = _interval_arrays(b, dim)
@@ -107,7 +190,7 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     if len(ess_a) != len(ess_b):
         return math.inf
     ess_cost = 0.0
-    if ess_a:
+    if len(ess_a):
         # Matching sorted births pairwise minimizes the worst birth gap.
         ess_cost = float(np.max(np.abs(np.sort(ess_a) - np.sort(ess_b))))
 
@@ -124,18 +207,22 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
         np.abs(fin_a[:, 0, None] - fin_b[None, :, 0]),
         np.abs(fin_a[:, 1, None] - fin_b[None, :, 1]),
     )
-    candidates = np.unique(np.concatenate((cost.ravel(), diag_a, diag_b, [0.0])))
+    lb = max(
+        np.minimum(diag_a, cost.min(axis=1)).max(),
+        np.minimum(diag_b, cost.min(axis=0)).max(),
+    )
+    top = max(diag_a.max(), diag_b.max())
+    values = np.concatenate((cost.ravel(), diag_a, diag_b))
+    candidates = np.unique(values[(values >= lb) & (values <= top)])
+    side_a, side_b = _Side(cost, diag_a), _Side(cost.T, diag_b)
     lo, hi = 0, len(candidates) - 1
-    # The largest diagonal cost is always feasible (match nothing across).
-    top = float(max(diag_a.max(), diag_b.max()))
-    hi = int(np.searchsorted(candidates, top))
-    best = candidates[hi]
-    while lo <= hi:
-        mid = (lo + hi) // 2
+    span = 0  # each failed test doubles the next step up: a gallop from lb
+    while lo < hi:
+        mid = min(lo + span, (lo + hi) // 2)
         t = float(candidates[mid])
-        if _feasible(cost, diag_a, diag_b, t):
-            best = t
-            hi = mid - 1
+        if side_a.feasible(t) and side_b.feasible(t):
+            hi = mid
         else:
             lo = mid + 1
-    return max(ess_cost, float(best))
+            span = 2 * span + 1
+    return max(ess_cost, float(candidates[lo]))

@@ -238,16 +238,27 @@ class PersistenceDiagram:
 
     @classmethod
     def from_dicts(cls, rows: list[dict]) -> "PersistenceDiagram":
-        return cls(
-            tuple(
-                PersistenceInterval(
-                    int(r["dim"]),
-                    float(r["birth"]),
-                    math.inf if r.get("death") is None else float(r["death"]),
-                )
-                for r in rows
-            )
+        """Inverse of ``to_dicts``: a null death is an essential class.
+
+        Raises ``ValueError`` naming the row when a row is not an object,
+        its birth is not finite, or its death is NaN, ``-Infinity`` or
+        below its birth. Zero-length intervals are accepted.
+        """
+        return cls(tuple(_interval_from_dict(i, r) for i, r in enumerate(rows)))
+
+
+def _interval_from_dict(index: int, row: object) -> PersistenceInterval:
+    if not isinstance(row, dict):
+        raise ValueError(f"diagram row {index} is not an object: {row!r}")
+    birth = float(row["birth"])
+    death = math.inf if row.get("death") is None else float(row["death"])
+    # NaN fails every comparison, so this also rejects a NaN death.
+    if not (math.isfinite(birth) and birth <= death):
+        raise ValueError(
+            f"diagram row {index} needs a finite birth and a death that is null "
+            f"or not below it: {row!r}"
         )
+    return PersistenceInterval(int(row["dim"]), birth, death)
 
 
 def persistent_homology(filtration: Filtration) -> PersistenceDiagram:

@@ -234,6 +234,69 @@ def bottleneck_exhaustive(a: list[tuple[float, float]], b: list[tuple[float, flo
     return max(best_ess, best_fin)
 
 
+def bottleneck_kuhn(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float:
+    """Bottleneck distance by a plain binary search with recursive Kuhn matching.
+
+    The library's former search, kept as an oracle for diagrams too big
+    to enumerate: every candidate cost, adjacency rebuilt at every step,
+    a fresh matching per step. Intervals are (birth, death) pairs as in
+    ``bottleneck_exhaustive``. The recursion is as deep as the longest
+    augmenting path, so keep the inputs to a few hundred intervals.
+    """
+    ess_a = sorted(x[0] for x in a if math.isinf(x[1]))
+    ess_b = sorted(x[0] for x in b if math.isinf(x[1]))
+    if len(ess_a) != len(ess_b):
+        return math.inf
+    ess_cost = max((abs(x - y) for x, y in zip(ess_a, ess_b)), default=0.0)
+
+    fin_a = np.array([x for x in a if not math.isinf(x[1])], dtype=np.float64).reshape(-1, 2)
+    fin_b = np.array([x for x in b if not math.isinf(x[1])], dtype=np.float64).reshape(-1, 2)
+    diag_a = (fin_a[:, 1] - fin_a[:, 0]) / 2.0
+    diag_b = (fin_b[:, 1] - fin_b[:, 0]) / 2.0
+    if len(fin_a) == 0 or len(fin_b) == 0:
+        return max(ess_cost, float(np.concatenate((diag_a, diag_b, [0.0])).max()))
+    cost = np.maximum(
+        np.abs(fin_a[:, 0, None] - fin_b[None, :, 0]),
+        np.abs(fin_a[:, 1, None] - fin_b[None, :, 1]),
+    )
+
+    def saturates(adj: list[list[int]], must: list[int], n_right: int) -> bool:
+        match_right = [-1] * n_right
+
+        def augment(i: int, seen: list[bool]) -> bool:
+            for j in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    if match_right[j] == -1 or augment(match_right[j], seen):
+                        match_right[j] = i
+                        return True
+            return False
+
+        return all(augment(i, [False] * n_right) for i in must)
+
+    def feasible(t: float) -> bool:
+        ok = cost <= t
+        for edges, diag in ((ok, diag_a), (ok.T, diag_b)):
+            must = [i for i in range(len(diag)) if diag[i] > t]
+            adj = [list(np.nonzero(row)[0]) for row in edges]
+            if must and not saturates(adj, must, edges.shape[1]):
+                return False
+        return True
+
+    candidates = np.unique(np.concatenate((cost.ravel(), diag_a, diag_b, [0.0])))
+    lo = 0
+    hi = int(np.searchsorted(candidates, max(diag_a.max(), diag_b.max())))
+    best = candidates[hi]
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if feasible(float(candidates[mid])):
+            best = candidates[mid]
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    return max(ess_cost, float(best))
+
+
 def fit_conic(points: np.ndarray) -> tuple[float, float, float]:
     """Least-squares central conic fit a·x² + b·xy + c·y² = 1.
 

@@ -315,6 +315,39 @@ class TestDistCommand:
         assert code == 1
         assert error_kind(err) == "InvalidInput"
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            '{"dim": 1, "birth": NaN, "death": 1.0}',
+            '{"dim": 1, "birth": Infinity, "death": null}',
+            '{"dim": 1, "birth": 1.0, "death": NaN}',
+            '{"dim": 1, "birth": 1.0, "death": -Infinity}',
+            '{"dim": 1, "birth": 2.0, "death": 1.0}',
+            "1",
+        ],
+        ids=["nan-birth", "inf-birth", "nan-death", "minus-inf-death", "death-below-birth",
+             "not-an-object"],
+    )
+    def test_malformed_diagram_row_is_invalid(self, cli, tmp_path, row):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(f'[{{"dim": 1, "birth": 0.0, "death": 1.0}}, {row}]')
+        b.write_text(json.dumps([]))
+        code, out, err = cli("dist", "bottleneck", a, b, "--dim", "1")
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+        assert "row 1" in json.loads(err)["message"]
+
+    def test_zero_length_and_null_death_rows_load(self, cli, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps([{"dim": 1, "birth": 1.0, "death": 1.0},
+                                 {"dim": 1, "birth": 0.5, "death": None}]))
+        b.write_text(json.dumps([{"dim": 1, "birth": 0.25, "death": None}]))
+        code, out, _ = cli("dist", "bottleneck", a, b, "--dim", "1")
+        assert code == 0
+        assert json.loads(out)["distance"] == 0.25
+
 
 class TestSynthCommand:
     def test_samples_match_library(self, cli, tmp_path):

@@ -1,9 +1,12 @@
 """Hausdorff distance on clouds, bottleneck distance on diagrams."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoperiod import (
     DimensionMismatchError,
@@ -12,12 +15,18 @@ from topoperiod import (
     PersistenceInterval,
     PointCloud,
     bottleneck,
+    delay_embed,
+    find_delay,
     h1_diagram,
     hausdorff,
+    normalize,
+    random_subsample,
+    synthesize,
 )
 from topoperiod.subsampling import SplitMix64
 
-from oracles import bottleneck_exhaustive, hausdorff_brute
+from fixtures import noise_signal, wheeze_model
+from oracles import bottleneck_exhaustive, bottleneck_kuhn, hausdorff_brute
 
 
 def _random_cloud(seed: int, count: int, dim: int = 2) -> PointCloud:
@@ -32,6 +41,32 @@ def _diagram(pairs: list[tuple[float, float]], dim: int = 1) -> PersistenceDiagr
     return PersistenceDiagram(
         tuple(PersistenceInterval(dim, b, d) for b, d in pairs)
     )
+
+
+def _pairs(diagram: PersistenceDiagram, dim: int = 1) -> list[tuple[float, float]]:
+    return [(iv.birth, iv.death) for iv in diagram.in_dim(dim)]
+
+
+def _grid_diagram(rng: SplitMix64, count: int) -> PersistenceDiagram:
+    """Small-integer endpoints, so costs tie; about one in four has zero length."""
+    ivs = []
+    for _ in range(count):
+        b = float(rng.below(9))
+        ivs.append(PersistenceInterval(1, b, b + float(rng.below(4))))
+    return PersistenceDiagram(tuple(ivs))
+
+
+def _embedding_diagram(signal, seed: int) -> PersistenceDiagram:
+    normed = normalize(signal)
+    return h1_diagram(random_subsample(delay_embed(normed, find_delay(normed)), 60, seed))
+
+
+# Endpoints on a half-integer grid, so costs tie; death == birth is allowed.
+_grid_intervals = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 4)).map(lambda p: (p[0] / 2, (p[0] + p[1]) / 2)),
+    max_size=4,
+)
+_essential_births = st.lists(st.integers(0, 8).map(lambda k: (k / 2, math.inf)), max_size=1)
 
 
 def _random_diagram(seed: int, count: int, essentials: int = 0) -> PersistenceDiagram:
@@ -162,6 +197,56 @@ class TestBottleneck:
                 assert math.isinf(got)
             else:
                 assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(_grid_intervals, _essential_births, _grid_intervals, _essential_births)
+    def test_property_matches_exhaustive_oracle(self, fin_a, ess_a, fin_b, ess_b):
+        a, b = fin_a + ess_a, fin_b + ess_b
+        got = bottleneck(_diagram(a), _diagram(b), 1)
+        assert got == bottleneck_exhaustive(a, b)
+
+    def test_matches_kuhn_oracle_on_tied_diagrams(self):
+        rng = SplitMix64(8101)
+        for trial in range(24):
+            a = _grid_diagram(rng, 20 + rng.below(101))
+            b = _grid_diagram(rng, 20 + rng.below(101))
+            assert bottleneck(a, b, 1) == bottleneck_kuhn(_pairs(a), _pairs(b)), trial
+
+    def test_matches_kuhn_oracle_on_random_diagrams(self):
+        for seed in range(8):
+            a = _random_diagram(3000 + seed, 20 + 14 * seed, essentials=seed % 2)
+            b = _random_diagram(4000 + seed, 120 - 11 * seed, essentials=seed % 2)
+            assert bottleneck(a, b, 1) == bottleneck_kuhn(_pairs(a), _pairs(b)), seed
+
+    def test_matches_kuhn_oracle_on_delay_embedding_diagrams(self):
+        signals = [synthesize(wheeze_model(i), 4000) for i in (0, 2, 4)] + [noise_signal(1)]
+        diagrams = [_embedding_diagram(s, seed) for s in signals for seed in (0, 1)]
+        for a, b in zip(diagrams, diagrams[1:] + diagrams[:1]):
+            for dim in (0, 1):
+                assert bottleneck(a, b, dim) == bottleneck_kuhn(_pairs(a, dim), _pairs(b, dim))
+
+    @pytest.mark.parametrize(
+        "birth, death",
+        [(math.nan, 1.0), (math.inf, math.inf), (0.5, math.nan), (0.5, -math.inf), (2.0, 1.0)],
+        ids=["nan-birth", "inf-birth", "nan-death", "minus-inf-death", "death-below-birth"],
+    )
+    def test_malformed_interval_rejected(self, birth, death):
+        a = _diagram([(0.0, 2.0), (birth, death)])
+        with pytest.raises(ValueError, match="dimension-1 intervals"):
+            bottleneck(a, _diagram([(0.5, 1.0)]), 1)
+
+    def test_needs_no_recursion_depth(self):
+        # Augmenting paths run on an explicit stack; a recursive search
+        # goes as deep as its longest path and fails under this limit.
+        a, b = _random_diagram(5001, 300), _random_diagram(5002, 300)
+        want = bottleneck(a, b, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            got = bottleneck(a, b, 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
 
     def test_triangle_inequality(self):
         ds = [_random_diagram(40 + s, 4) for s in range(3)]
