@@ -13,16 +13,19 @@ common neighbour above a simplex's last vertex, triangles included, and
 the reduction finds the row of every facet by the dense rank of its
 vertex prefixes, the same lookup in every dimension.
 ``h1_diagram`` gives dimensions 0 and 1 from the same sorted edges and
-union-find sweep without storing triangles. It builds a coboundary column
-only for an edge that is not an apparent pair: edge t=(u,v) is apparent
-when some w has both edges to u and v ranked below t, and pairs with the
-triangle of the smallest such w. A triangle key's owner edge is
-``key // n³``, which finds an apparent column when a reduction needs it.
+union-find sweep without storing triangles; the sweep stops at the last
+spanning-tree edge. It builds a coboundary column only for an edge that
+is not an apparent pair: edge t=(u,v) is apparent when some w has both
+edges to u and v ranked below t, and pairs with the triangle of the
+smallest such w. A triangle is keyed by the rank of its longest edge
+times n plus the vertex opposite that edge, so its owner edge is
+``key // n``, which finds an apparent column when a reduction needs it.
+Columns are added by XOR into one dense boolean working column indexed by
+key, so an addition needs no sort and no merge.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -86,7 +89,9 @@ def _dim0(
 
     Every vertex is born at value 0 and each component-merging edge
     kills exactly one class at its own value, so union-find over the
-    sorted edges reproduces the interval multiset of full reduction.
+    sorted edges reproduces the interval multiset of full reduction. The
+    sweep stops once one component is left: every later edge closes a
+    cycle.
     """
     out: list[PersistenceInterval] = []
     parent = list(range(n))
@@ -108,6 +113,8 @@ def _dim0(
             components -= 1
             if val > 0.0:
                 out.append(PersistenceInterval(0, 0.0, val))
+            if components == 1:
+                break
     out.extend(PersistenceInterval(0, 0.0, math.inf) for _ in range(components))
     return out, tree_edge
 
@@ -371,28 +378,6 @@ def _reduce_dim(
     return pivot_col_of_row, zero_cols
 
 
-def _pop_pivot(heap: list[tuple[int, int]], srcs: list[list[int]], pos: list[int]) -> int:
-    """Pop the smallest key held by an odd number of sources, or return -1.
-
-    ``heap`` holds ``(srcs[s][pos[s]], s)`` for each source s not yet used
-    up; every popped entry is replaced by its source's next one.
-    """
-    while heap:
-        x = heap[0][0]
-        parity = 0
-        while heap and heap[0][0] == x:
-            s = heap[0][1]
-            pos[s] += 1
-            if pos[s] < len(srcs[s]):
-                heapq.heapreplace(heap, (srcs[s][pos[s]], s))
-            else:
-                heapq.heappop(heap)
-            parity ^= 1
-        if parity:
-            return x
-    return -1
-
-
 def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> PersistenceDiagram:
     """Dimension 0 and 1 persistence of a cloud without storing triangles.
 
@@ -403,33 +388,30 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
     spanning-tree edges of the union-find sweep are dimension-0 deaths
     and need no column.
 
-    Most other edges t=(u,v) are apparent pairs: some w has both edges to
-    u and v ranked below t. The pivot of t is then the triangle {u, v, w}
-    of the smallest such w, which no column reduced before t can hold, so
-    t pairs with it as a zero-length bar and needs no column either.
-    Only the remaining edges are reduced. A triangle's key names its
-    owner, the edge ``key // n³``; a pivot that is its owner's apparent
-    triangle is reduced by the owner's coboundary, built on first use.
+    A triangle is keyed ``rank * n + w``: the rank of its longest edge and
+    the vertex opposite that edge, so its owner edge is ``key // n``. Most
+    non-tree edges t=(u,v) are apparent pairs: some w has both edges to u
+    and v ranked below t. The pivot of t is then ``t * n + w`` for the
+    smallest such w, which no column reduced before t can hold, so t pairs
+    with it as a zero-length bar and needs no column either.
+
+    Only the remaining edges are reduced, each in one dense GF(2) working
+    column of ``n_edges * n`` bytes, allocated once per call: adding a
+    column XORs its keys in place, the next pivot is the first set byte
+    past the last one, and the touched keys are cleared when the column is
+    done. A pivot that is its owner's apparent triangle is reduced by the
+    owner's coboundary, built on first use; a pivot of an earlier reduced
+    column by that column's odd-count keys, summed on first use.
     """
-    _, adj, iu, ju, ev = _sorted_edges(cloud, max_eps)
+    _, _, iu, ju, ev = _sorted_edges(cloud, max_eps)
     n = len(cloud)
     n_edges = int(iu.size)
     out, tree_edge = _dim0(n, iu, ju, ev)
 
-    # Edge ranks, with n_edges for pairs that are not edges.
+    # Edge ranks, with the sentinel n_edges for pairs that are not edges,
+    # the diagonal included.
     rank = np.full((n, n), n_edges, dtype=np.int32)
     rank[iu, ju] = rank[ju, iu] = np.arange(n_edges, dtype=np.int32)
-
-    # A triangle is keyed by (rank of its last edge, vertex triple), one
-    # int64. Key order refines filtration-value order, and the key's high
-    # part recovers the triangle's value, which is its last edge's value.
-    n3 = n**3
-
-    def triple(u, v, w):
-        # Sorted {u, v, w} as base-n digits; u < v, so it grows with w.
-        lo = np.minimum(u, w)
-        hi = np.maximum(v, w)
-        return (lo * n + (u + v + w - lo - hi)) * n + hi
 
     # apparent_pivot[t] is t's pivot if t is an apparent pair, else -1.
     # Blocks of edges bound the temporaries; argmax finds the first w.
@@ -440,44 +422,56 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
         below = np.maximum(rank[iu[t]], rank[ju[t]]) < t[:, None]
         w = below.argmax(axis=1)
         hit = below[np.arange(t.size), w]
-        t, w = t[hit], w[hit]
-        apparent_pivot[t] = t * n3 + triple(iu[t], ju[t], w)
+        apparent_pivot[t[hit]] = t[hit] * n + w[hit]
+
+    # rank * n as int64 for the keys; the int32 rank keeps the test above fast.
+    rank_n = rank.astype(np.int64) * n
 
     def coboundary(t: int) -> np.ndarray:
+        # Unsorted keys of the triangles on edge t=(u, v), one per w. The
+        # longer of (u, w) and (v, w) gives the key unless t is the longest;
+        # the sentinel drops w = u, w = v and every w not joined to both.
         u, v = int(iu[t]), int(ju[t])
-        ws = np.flatnonzero(adj[u] & adj[v])
-        tstar = np.maximum(np.maximum(rank[u, ws], rank[v, ws]), t).astype(np.int64)
-        return np.sort(tstar * n3 + triple(u, v, ws))
+        key = np.maximum(rank_n[u] + v, rank_n[v] + u)
+        ws = (key < n_edges * n).nonzero()[0]
+        key = key[ws]
+        return np.where(key < t * n, t * n + ws, key)
 
     stored: dict[int, np.ndarray] = {}
+    # A reduced column waits as its list of sources until a later pivot
+    # needs it; the odd-count keys of their concatenation are the column.
+    pending: dict[int, list[np.ndarray]] = {}
 
     def column(key: int) -> np.ndarray | None:
         col = stored.get(key)
-        if col is None and apparent_pivot[key // n3] == key:
-            col = stored[key] = coboundary(key // n3)
+        if col is None and key in pending:
+            keys, counts = np.unique(np.concatenate(pending.pop(key)), return_counts=True)
+            col = stored[key] = keys[counts % 2 == 1]
+        elif col is None and apparent_pivot[key // n] == key:
+            col = stored[key] = coboundary(key // n)
         return col
 
-    # The working column is the GF(2) sum of its sources, sorted key lists
-    # merged lazily through a min-heap of each source's next entry: an
-    # addition costs one push, and only entries up to the final pivot
-    # are ever popped.
+    # A column's keys are distinct, so XOR into the dense column is its
+    # GF(2) sum; every addition clears the pivot and sets nothing below it.
+    work = np.zeros(n_edges * n, dtype=bool)
     for t in cycle_edges[apparent_pivot[cycle_edges] < 0][::-1].tolist():
-        srcs = [coboundary(t).tolist()]
-        pos = [0]
-        heap = [(srcs[0][0], 0)] if srcs[0] else []
-        while (low := _pop_pivot(heap, srcs, pos)) >= 0 and (other := column(low)) is not None:
-            if other.size > 1:
-                heapq.heappush(heap, (int(other[1]), len(srcs)))
-            srcs.append(other.tolist())
-            pos.append(1)
-        if low < 0:
+        srcs = [coboundary(t)]
+        work[srcs[0]] = True
+        low = t * n
+        while True:
+            low += int(work[low:].argmax())
+            if not work[low] or (other := column(low)) is None:
+                break
+            work[other] ^= True
+            srcs.append(other)
+        if not work[low]:
             out.append(PersistenceInterval(1, float(ev[t]), math.inf))
             continue
-        tails = np.concatenate([np.asarray(src[p:], dtype=np.int64) for src, p in zip(srcs, pos)])
-        vals, counts = np.unique(tails, return_counts=True)
-        stored[low] = np.concatenate(([low], vals[counts % 2 == 1]))
-        if ev[low // n3] > ev[t]:
-            out.append(PersistenceInterval(1, float(ev[t]), float(ev[low // n3])))
+        pending[low] = srcs
+        for src in srcs:
+            work[src] = False
+        if ev[low // n] > ev[t]:
+            out.append(PersistenceInterval(1, float(ev[t]), float(ev[low // n])))
 
     return PersistenceDiagram(tuple(out))
 

@@ -74,8 +74,12 @@ def random_subsample(cloud: PointCloud, n: int, seed: int = 0) -> PointCloud:
     if n > total:
         raise NTooLargeError(f"requested {n} points from a cloud of {total}")
     rng = SplitMix64(seed)
-    idx = list(range(total))
-    for i in range(n):  # partial Fisher-Yates, only the prefix is needed
+    # Partial Fisher-Yates over a virtual index list: ``moved`` holds only
+    # the slots a swap has changed, so the cost is O(n), not O(total).
+    moved: dict[int, int] = {}
+    picks = []
+    for i in range(n):
         j = i + rng.below(total - i)
-        idx[i], idx[j] = idx[j], idx[i]
-    return PointCloud(cloud.points[idx[:n]])
+        picks.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return PointCloud(cloud.points[picks])

@@ -5,16 +5,26 @@ different data structures than the library: persistence comes from GF(2)
 ranks of boundary submatrices instead of column reduction, the bottleneck
 distance from exhaustive matching enumeration instead of binary search,
 the ellipse parameters from a least-squares conic fit. Slow is fine; these
-only ever see tiny inputs.
+only ever see tiny inputs. The library's former engines
+(``bottleneck_kuhn``, ``h1_diagram_heap``, ``random_subsample_list``) are
+kept too, as oracles for inputs too big for the exhaustive ones.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import Counter
 
 import numpy as np
+
+from topoperiod.persistence import (
+    PersistenceDiagram,
+    PersistenceInterval,
+    _dim0,
+    _sorted_edges,
+)
 
 
 def gf2_rank(columns: list[int]) -> int:
@@ -297,6 +307,97 @@ def bottleneck_kuhn(a: list[tuple[float, float]], b: list[tuple[float, float]]) 
     return max(ess_cost, float(best))
 
 
+def _pop_pivot(heap: list[tuple[int, int]], srcs: list[list[int]], pos: list[int]) -> int:
+    """Pop the smallest key held by an odd number of sources, or return -1.
+
+    ``heap`` holds ``(srcs[s][pos[s]], s)`` for each source s not yet used
+    up; every popped entry is replaced by its source's next one.
+    """
+    while heap:
+        x = heap[0][0]
+        parity = 0
+        while heap and heap[0][0] == x:
+            s = heap[0][1]
+            pos[s] += 1
+            if pos[s] < len(srcs[s]):
+                heapq.heapreplace(heap, (srcs[s][pos[s]], s))
+            else:
+                heapq.heappop(heap)
+            parity ^= 1
+        if parity:
+            return x
+    return -1
+
+
+def h1_diagram_heap(cloud, max_eps="auto") -> PersistenceDiagram:
+    """Dimension 0 and 1 persistence by the library's former coboundary engine.
+
+    Kept as an oracle for clouds too big for ``rank_diagram``. A triangle
+    is keyed ``rank of its last edge * n³ + sorted vertex triple``, each
+    coboundary column is built sorted, and an addition chain is a lazy
+    k-way merge of sorted key lists through a min-heap. Apparent pairs
+    are found as in the library; the edge prelude and union-find sweep
+    are the library's own.
+    """
+    _, adj, iu, ju, ev = _sorted_edges(cloud, max_eps)
+    n = len(cloud)
+    n_edges = int(iu.size)
+    out, tree_edge = _dim0(n, iu, ju, ev)
+
+    rank = np.full((n, n), n_edges, dtype=np.int32)
+    rank[iu, ju] = rank[ju, iu] = np.arange(n_edges, dtype=np.int32)
+    n3 = n**3
+
+    def triple(u, v, w):
+        lo = np.minimum(u, w)
+        hi = np.maximum(v, w)
+        return (lo * n + (u + v + w - lo - hi)) * n + hi
+
+    cycle_edges = np.flatnonzero(~tree_edge)
+    apparent_pivot = np.full(n_edges, -1, dtype=np.int64)
+    for start in range(0, cycle_edges.size, 512):
+        t = cycle_edges[start : start + 512]
+        below = np.maximum(rank[iu[t]], rank[ju[t]]) < t[:, None]
+        w = below.argmax(axis=1)
+        hit = below[np.arange(t.size), w]
+        t, w = t[hit], w[hit]
+        apparent_pivot[t] = t * n3 + triple(iu[t], ju[t], w)
+
+    def coboundary(t: int) -> np.ndarray:
+        u, v = int(iu[t]), int(ju[t])
+        ws = np.flatnonzero(adj[u] & adj[v])
+        tstar = np.maximum(np.maximum(rank[u, ws], rank[v, ws]), t).astype(np.int64)
+        return np.sort(tstar * n3 + triple(u, v, ws))
+
+    stored: dict[int, np.ndarray] = {}
+
+    def column(key: int):
+        col = stored.get(key)
+        if col is None and apparent_pivot[key // n3] == key:
+            col = stored[key] = coboundary(key // n3)
+        return col
+
+    for t in cycle_edges[apparent_pivot[cycle_edges] < 0][::-1].tolist():
+        srcs = [coboundary(t).tolist()]
+        pos = [0]
+        heap = [(srcs[0][0], 0)] if srcs[0] else []
+        while (low := _pop_pivot(heap, srcs, pos)) >= 0 and (other := column(low)) is not None:
+            if other.size > 1:
+                heapq.heappush(heap, (int(other[1]), len(srcs)))
+            srcs.append(other.tolist())
+            pos.append(1)
+        if low < 0:
+            out.append(PersistenceInterval(1, float(ev[t]), math.inf))
+            continue
+        tails = np.concatenate([np.asarray(src[p:], dtype=np.int64) for src, p in zip(srcs, pos)])
+        vals, counts = np.unique(tails, return_counts=True)
+        stored[low] = np.concatenate(([low], vals[counts % 2 == 1]))
+        if ev[low // n3] > ev[t]:
+            out.append(PersistenceInterval(1, float(ev[t]), float(ev[low // n3])))
+
+    return PersistenceDiagram(tuple(out))
+
+
 def fit_conic(points: np.ndarray) -> tuple[float, float, float]:
     """Least-squares central conic fit a·x² + b·xy + c·y² = 1.
 
@@ -363,6 +464,21 @@ def maxmin_brute(points: np.ndarray, n: int, seed: int = 0) -> np.ndarray:
                 best_dist, best_idx = dmin, cand
         chosen.append(best_idx)
     return points[chosen]
+
+
+def random_subsample_list(points: np.ndarray, n: int, seed: int = 0) -> np.ndarray:
+    """Seeded partial Fisher-Yates over a full list of indices.
+
+    The library's former loop: it builds ``list(range(total))`` and swaps
+    its prefix, drawing the same ``below`` stream as the library.
+    """
+    total = len(points)
+    rng = _SplitMix(seed)
+    idx = list(range(total))
+    for i in range(n):
+        j = i + rng.below(total - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return points[idx[:n]]
 
 
 def zero_crossing_lags(v: np.ndarray) -> list[int]:

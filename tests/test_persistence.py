@@ -5,6 +5,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoperiod import (
     EmptyCloudError,
@@ -26,7 +28,7 @@ from topoperiod.persistence import _GROW_BLOCK
 from topoperiod.subsampling import SplitMix64
 
 from fixtures import noise_signal, wheeze_model
-from oracles import diagram_multiset, persistent_beta1, rank_diagram
+from oracles import diagram_multiset, h1_diagram_heap, persistent_beta1, rank_diagram
 
 
 def _random_cloud(seed: int, count: int, dim: int = 2) -> PointCloud:
@@ -283,6 +285,11 @@ class TestPersistentHomology:
         assert sum(1 for iv in diagram.in_dim(0) if not iv.is_finite) == 1
 
 
+_grid_points = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=12
+)
+
+
 class TestH1DiagramAgreement:
     def test_random_clouds(self):
         for seed, count in [(80, 30), (81, 45), (82, 60)]:
@@ -326,6 +333,14 @@ class TestH1DiagramAgreement:
                 slow = persistent_homology(rips_filtration(cloud, max_dim=2, max_eps=cut))
                 assert fast == slow
 
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(_grid_points, st.sampled_from(["auto", 0.0, 1.0, math.sqrt(2.0)]))
+    def test_property_small_integer_clouds(self, points, cut):
+        # Small-integer points repeat and tie their distances.
+        cloud = PointCloud(np.array(points, dtype=float))
+        fast = h1_diagram(cloud, max_eps=cut)
+        assert fast == persistent_homology(rips_filtration(cloud, max_dim=2, max_eps=cut))
+
     @pytest.mark.parametrize(
         "index", [0, 2, 4, None], ids=["wheeze0", "wheeze2", "wheeze4", "noise1"]
     )
@@ -345,6 +360,33 @@ class TestH1DiagramAgreement:
         assert h1_diagram(one).to_dicts() == [{"dim": 0, "birth": 0.0, "death": None}]
         twin = PointCloud(np.array([[1.0, 2.0], [1.0, 2.0]]))
         assert h1_diagram(twin).to_dicts() == [{"dim": 0, "birth": 0.0, "death": None}]
+
+
+class TestH1DiagramHeapOracle:
+    @pytest.mark.parametrize("size", [100, 200])
+    @pytest.mark.parametrize(
+        "index", [0, 2, 4, None], ids=["wheeze0", "wheeze2", "wheeze4", "noise1"]
+    )
+    def test_delay_embedding_clouds(self, index, size):
+        signal = noise_signal(1) if index is None else synthesize(wheeze_model(index), 4000)
+        normed = normalize(signal)
+        sub = random_subsample(delay_embed(normed, find_delay(normed)), size, 0)
+        assert h1_diagram(sub) == h1_diagram_heap(sub)
+
+    @pytest.mark.parametrize("side", [3, 4, 5, 6])
+    def test_grids_cut_at_tied_distances(self, side):
+        grid = PointCloud(np.array([[i, j] for i in range(side) for j in range(side)], dtype=float))
+        for cut in (1.0, math.sqrt(2.0)):
+            assert h1_diagram(grid, max_eps=cut) == h1_diagram_heap(grid, max_eps=cut)
+
+    def test_cloud_cut_below_connectivity(self):
+        # Two loops 10 apart cut at 1: the union-find never gets down to one
+        # component, so the sweep runs over every edge.
+        ring = _circle(12).points
+        cloud = PointCloud(np.vstack((ring, ring + 10.0)))
+        fast = h1_diagram(cloud, max_eps=1.0)
+        assert len(fast.essential(0)) == 2
+        assert fast == h1_diagram_heap(cloud, max_eps=1.0)
 
 
 class TestH1DiagramRankOracle:

@@ -6,7 +6,7 @@ import pytest
 from topoperiod import NTooLargeError, PointCloud, maxmin, random_subsample
 from topoperiod.subsampling import SplitMix64
 
-from oracles import maxmin_brute
+from oracles import maxmin_brute, random_subsample_list
 
 
 def _random_cloud(seed: int, count: int, dim: int = 2) -> PointCloud:
@@ -132,3 +132,12 @@ class TestRandomSubsample:
         cloud = _random_cloud(59, 5)
         with pytest.raises(ValueError):
             random_subsample(cloud, -1, seed=0)
+
+    @pytest.mark.parametrize("total", [100, 257, 1000])
+    def test_matches_full_list_oracle(self, total):
+        cloud = _random_cloud(60 + total, total)
+        for seed in (0, 1, 7, 12345, 2**40 + 3):
+            for n in (1, 5, 100, total):
+                got = random_subsample(cloud, n, seed=seed)
+                want = random_subsample_list(cloud.points, n, seed)
+                assert np.array_equal(got.points, want), (seed, n)
