@@ -29,6 +29,7 @@ from typing import Any, Callable
 
 from .detector import PipelineConfig, detect, evaluate
 from .embedding import (
+    _FEATURES_NEEDED,
     acl,
     cloud_csv_text,
     delay_embed,
@@ -318,6 +319,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="half-open time range START:END in seconds",
     )
 
+    strategies = tuple(_FEATURES_NEEDED)
+    pipeline = argparse.ArgumentParser(add_help=False)
+    pipeline.add_argument(
+        "--threshold", type=float, help="significance cutoff (default 0.15)"
+    )
+    pipeline.add_argument("--n", type=int, help="subsample size (default 100)")
+    pipeline.add_argument("--seed", type=int)
+    pipeline.add_argument("--method", choices=["random", "maxmin"])
+    pipeline.add_argument("--strategy", choices=strategies)
+    pipeline.add_argument(
+        "--delay", type=int, help="fixed embedding lag (default: auto)"
+    )
+
     parser = argparse.ArgumentParser(
         prog="topoperiod",
         description="Detect repeating structure in 1-D signals through "
@@ -342,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delay", help='integer lag or "auto" (default auto)')
     p.add_argument(
         "--strategy",
-        choices=["first-zero", "second-zero", "mid-critical"],
+        choices=strategies,
         help="delay selection rule used when --delay is auto",
     )
     p.add_argument("--dim", type=int, help="embedding dimension (default 2)")
@@ -385,30 +399,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="signal file (.wav or .csv)")
 
     p = sub.add_parser(
-        "detect", parents=[shared, windowed], help="classify a signal as harmonic"
+        "detect",
+        parents=[shared, windowed, pipeline],
+        help="classify a signal as harmonic",
     )
     p.add_argument("input", help="signal file (.wav or .csv)")
-    p.add_argument("--threshold", type=float, help="significance cutoff (default 0.15)")
-    p.add_argument("--n", type=int, help="subsample size (default 100)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=["random", "maxmin"])
-    p.add_argument(
-        "--strategy", choices=["first-zero", "second-zero", "mid-critical"]
-    )
-    p.add_argument("--delay", type=int, help="fixed embedding lag (default: auto)")
 
     p = sub.add_parser(
-        "eval", parents=[shared], help="score detection over a labeled manifest"
+        "eval", parents=[shared, pipeline], help="score detection over a labeled manifest"
     )
     p.add_argument("manifest", help='CSV manifest of "path,label" lines')
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=["random", "maxmin"])
-    p.add_argument(
-        "--strategy", choices=["first-zero", "second-zero", "mid-critical"]
-    )
-    p.add_argument("--delay", type=int)
 
     p = sub.add_parser(
         "render", parents=[shared], help="SVG view of a cloud or diagram"

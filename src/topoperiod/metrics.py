@@ -12,10 +12,9 @@ Katz 2001; Kerber, Morozov & Nigmetov 2017).
   largest such bound and the largest diagonal cost are searched. The
   search tries the bound first and gallops upward from it before it
   bisects, because the answer is most often the bound or just above it.
-- **Prefix adjacency.** Each row of the cost matrix is argsorted once per
-  call; the neighbours of an interval at threshold t are then the first
-  ``deg`` entries of its sorted row, turned into a Python list only as
-  far as some step has needed.
+- **One mask per step.** A test at t compares the cost matrix with t
+  once; an interval's neighbours are read off its row of that mask only
+  when a search reaches it.
 - **Iterative, warm-started matching.** Augmenting paths are found on an
   explicit stack, so there is no recursion depth limit. Each side keeps
   its matching from step to step, minus the pairs that cost more than
@@ -75,32 +74,36 @@ def _interval_arrays(diagram: PersistenceDiagram, dim: int) -> tuple[np.ndarray,
     return np.column_stack((births[finite], deaths[finite])), births[~finite]
 
 
-def _cover(rows: list[list[int]], deg: list[int], must: list[int],
-           slot: list[int], match_r: list[int]) -> bool:
+def _cover(adj: np.ndarray, must: list[int], match_l: list[int],
+           match_r: list[int]) -> bool:
     """Extend a matching until it covers every left node in ``must``.
 
-    Left node i is adjacent to the first ``deg[i]`` entries of ``rows[i]``
-    and matched to ``rows[i][slot[i]]`` (``slot[i] == -1``: unmatched);
-    ``match_r`` is the inverse. Every left node matched on entry must be
-    in ``must``. Searches then start from the unmatched mandatory nodes
-    only and draw optional nodes in through no path, so a search that
-    fails with fresh marks proves that no matching covers ``must``
-    (Berge). Augmenting paths are found depth-first on an explicit stack:
-    no recursion. The searches of one phase share their marks, so a phase
-    visits each right node once; a root that fails after another root of
-    its phase succeeded is tried again in the next phase.
+    Left node i is adjacent to the right nodes j with ``adj[i, j]`` and
+    matched to ``match_l[i]`` (-1: unmatched); ``match_r`` is the inverse.
+    Every left node matched on entry must be in ``must``. Searches then
+    start from the unmatched mandatory nodes only and draw optional nodes
+    in through no path, so a search that fails with fresh marks proves
+    that no matching covers ``must`` (Berge). Augmenting paths are found
+    depth-first on an explicit stack: no recursion. A row's neighbour list
+    is built when a search first visits it. The searches of one phase
+    share their marks, so a phase visits each right node once; a root
+    that fails after another root of its phase succeeded is tried again
+    in the next phase.
     """
-    n_right = len(match_r)
-    pending = [root for root in must if slot[root] == -1]
+    rows: list[list[int] | None] = [None] * len(match_l)
+    pending = [root for root in must if match_l[root] == -1]
     while pending:
-        seen = bytearray(n_right)
+        seen = bytearray(len(match_r))
         grown = False
         retry = []
         for root in pending:
             path, pos = [root], [0]
             while path:
                 i = path[-1]
-                row, d, k = rows[i], deg[i], pos[-1]
+                row = rows[i]
+                if row is None:
+                    row = rows[i] = adj[i].nonzero()[0].tolist()
+                d, k = len(row), pos[-1]
                 while k < d and seen[row[k]]:
                     k += 1
                 if k == d:
@@ -112,7 +115,7 @@ def _cover(rows: list[list[int]], deg: list[int], must: list[int],
                 seen[j] = 1
                 if match_r[j] == -1:
                     for i, k in zip(path, pos):
-                        slot[i] = k - 1
+                        match_l[i] = rows[i][k - 1]
                         match_r[rows[i][k - 1]] = i
                     grown = True
                     break
@@ -129,39 +132,27 @@ def _cover(rows: list[list[int]], deg: list[int], must: list[int],
 class _Side:
     """One side's feasibility test: can its mandatory intervals be covered?
 
-    Each row of ``cost`` is argsorted once, so the neighbours of left
-    node i at threshold t are a prefix of its sorted row. Only the longest
-    prefix a step has needed is kept as a Python list. The matching is
-    kept from step to step. Before each step its pairs that cost more
-    than t and its left nodes that are no longer mandatory are dropped;
-    what is left is valid at t and a warm start for ``_cover``.
+    The matching is kept from step to step as column ids. Before each
+    step its pairs that cost more than t and its left nodes that are no
+    longer mandatory are dropped; what is left is valid at t and a warm
+    start for ``_cover``.
     """
 
     def __init__(self, cost: np.ndarray, diag: np.ndarray) -> None:
         self.cost, self.diag = cost, diag
-        self.order = np.argsort(cost, axis=1, kind="stable")
-        self.rows: list[list[int]] = [[] for _ in range(cost.shape[0])]
-        self.width = np.zeros(cost.shape[0], dtype=np.intp)
-        self.diag_list = diag.tolist()
-        self.slot = [-1] * cost.shape[0]
+        self.match_l = [-1] * cost.shape[0]
         self.match_r = [-1] * cost.shape[1]
 
     def feasible(self, t: float) -> bool:
-        must = np.flatnonzero(self.diag > t).tolist()
-        if not must:
+        must = self.diag > t
+        if not must.any():
             return True
-        deg_arr = np.count_nonzero(self.cost <= t, axis=1)
-        deg = deg_arr.tolist()
-        wider = np.flatnonzero(deg_arr > self.width)
-        for i in wider.tolist():
-            self.rows[i] = self.order[i, : deg[i]].tolist()
-        self.width[wider] = deg_arr[wider]
-        slot, match_r = self.slot, self.match_r
-        for i, k in enumerate(slot):
-            if k != -1 and (k >= deg[i] or self.diag_list[i] <= t):
-                slot[i] = -1
-                match_r[self.rows[i][k]] = -1
-        return _cover(self.rows, deg, must, slot, match_r)
+        adj = self.cost <= t
+        match_l, match_r = self.match_l, self.match_r
+        for i, j in enumerate(match_l):
+            if j != -1 and not (must[i] and adj[i, j]):
+                match_l[i] = match_r[j] = -1
+        return _cover(adj, np.flatnonzero(must).tolist(), match_l, match_r)
 
 
 def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
@@ -173,16 +164,15 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     infinitely far apart.
 
     The answer is the smallest candidate cost t at which a matching exists
-    whose every assignment costs at most t. Only the candidates between
-    a lower bound and the largest diagonal cost are searched (see the
-    module docstring); the search tests the lower bound, gallops upward
-    until a test succeeds, then bisects. A test at t covers the intervals
-    of A whose diagonal cost exceeds t, then those of B: in a bipartite
-    graph both sets can be covered by one matching when each can be
-    covered alone (Mendelsohn-Dulmage). The matching is grown with
-    iterative augmenting paths over prefix adjacency, warm-started from
-    the previous step, and the answer is the same float the plain binary
-    search over all candidates gives.
+    whose every assignment costs at most t. The search tests the lower
+    bound of the module docstring, gallops upward until a test succeeds,
+    then bisects. A test at t covers the intervals of A whose diagonal
+    cost exceeds t, then those of B: in a bipartite graph both sets can
+    be covered by one matching when each can be covered alone
+    (Mendelsohn-Dulmage). Each side grows its matching with iterative
+    augmenting paths over the mask ``cost <= t``, warm-started from its
+    previous step. The answer is the same float the plain binary search
+    over all candidates gives.
     """
     fin_a, ess_a = _interval_arrays(a, dim)
     fin_b, ess_b = _interval_arrays(b, dim)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import PointCloud, crossing_positions
+from .embedding import PointCloud, _sign_changes, crossing_positions
 from .errors import (
     InsufficientPeaksError,
     NoZeroCrossingsError,
@@ -274,18 +274,16 @@ def fit_envelope(s: Signal) -> np.ndarray:
     """
     x = s.samples
     d = np.diff(x)
-    nz = np.nonzero(d)[0]
-    rows: list[tuple[float, float]] = []
-    for a, b in zip(nz, nz[1:]):
-        if d[a] > 0 and d[b] < 0:
-            mid = (a + 1 + b) // 2
-            if x[mid] > 0:
-                rows.append((mid / s.sample_rate_hz, float(x[mid])))
-    if len(rows) < 2:
+    a, b = _sign_changes(d)
+    rise = d[a] > 0
+    # Floor, not round: a plateau of even length keeps its left middle sample.
+    mid = (a[rise] + 1 + b[rise]) // 2
+    mid = mid[x[mid] > 0]
+    if len(mid) < 2:
         raise InsufficientPeaksError(
-            f"found {len(rows)} positive local maxima, need at least 2"
+            f"found {len(mid)} positive local maxima, need at least 2"
         )
-    return np.asarray(rows)
+    return np.column_stack((mid / s.sample_rate_hz, x[mid]))
 
 
 def fit_model(s: Signal) -> PiecewiseSinusoidModel:

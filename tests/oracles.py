@@ -6,8 +6,8 @@ ranks of boundary submatrices instead of column reduction, the bottleneck
 distance from exhaustive matching enumeration instead of binary search,
 the ellipse parameters from a least-squares conic fit. Slow is fine; these
 only ever see tiny inputs. The library's former engines
-(``bottleneck_kuhn``, ``h1_diagram_heap``, ``random_subsample_list``) are
-kept too, as oracles for inputs too big for the exhaustive ones.
+(``bottleneck_kuhn``, ``h1_diagram_heap``, ``random_subsample_list``,
+``fit_envelope_loop``) are kept too, as oracles for inputs too big for the exhaustive ones.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from collections import Counter
 
 import numpy as np
 
+from topoperiod.errors import InsufficientPeaksError
 from topoperiod.persistence import (
     PersistenceDiagram,
     PersistenceInterval,
@@ -543,3 +544,25 @@ def critical_lags(v: np.ndarray) -> list[int]:
         prev_sign = sign
         prev_pos = i
     return crit
+
+
+def fit_envelope_loop(s) -> np.ndarray:
+    """Envelope rows of a signal, one pair of nonzero differences at a time.
+
+    The library's former ``fit_envelope``: a rise followed by a fall is a
+    maximum at the midpoint (floored) of the flat run between them.
+    """
+    x = s.samples
+    d = np.diff(x)
+    nz = np.nonzero(d)[0]
+    rows: list[tuple[float, float]] = []
+    for a, b in zip(nz, nz[1:]):
+        if d[a] > 0 and d[b] < 0:
+            mid = (a + 1 + b) // 2
+            if x[mid] > 0:
+                rows.append((mid / s.sample_rate_hz, float(x[mid])))
+    if len(rows) < 2:
+        raise InsufficientPeaksError(
+            f"found {len(rows)} positive local maxima, need at least 2"
+        )
+    return np.asarray(rows)

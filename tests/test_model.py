@@ -22,12 +22,28 @@ from topoperiod import (
 from topoperiod.embedding import crossing_positions
 from topoperiod.subsampling import SplitMix64
 
-from fixtures import GAUSS_SEEDS, fit_fixture, gauss_noise
-from oracles import zero_crossing_times
+from fixtures import (
+    GAUSS_SEEDS,
+    fit_fixture,
+    gauss_noise,
+    noise_signal,
+    reference_signal,
+    wheeze_model,
+)
+from oracles import fit_envelope_loop, zero_crossing_times
 
 
 def _ptp(s: Signal) -> float:
     return float(s.samples.max() - s.samples.min())
+
+
+def _envelope_or_error(fit, s: Signal):
+    """``fit(s)`` as (dtype, shape, bytes), or its error as (class, message)."""
+    try:
+        rows = fit(s)
+    except InsufficientPeaksError as exc:
+        return type(exc), str(exc)
+    return rows.dtype, rows.shape, rows.tobytes()
 
 
 class TestModelConstruction:
@@ -212,6 +228,58 @@ class TestFitEnvelope:
         x = np.array([0.0, 1.0, 2.0, 2.0, 2.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0])
         rows = fit_envelope(Signal(x, 1.0))
         assert rows.tolist() == [[3.0, 2.0], [8.0, 3.0]]
+
+    def test_matches_loop_oracle_on_fixtures(self):
+        sigs = [synthesize(fit_fixture(i), 4000.0) for i in range(12)]
+        sigs += [synthesize(wheeze_model(i), 44100.0) for i in range(4)]
+        sigs += [gauss_noise(seed) for seed in GAUSS_SEEDS]
+        sigs += [noise_signal(seed) for seed in range(3)]
+        sigs.append(reference_signal())
+        for s in sigs:
+            got = _envelope_or_error(fit_envelope, s)
+            assert got == _envelope_or_error(fit_envelope_loop, s)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [0, 1, 2, 2, 2, 1, 0, 1, 3, 1, 0],
+            [0, 1, 2, 2, 1, 0, 3, 3, 3, 3, 0, 1, 0],
+            [2, 2, 2, 1, 0, 1, 3, 1, 0, 1, 2, 1],
+            [0, 1, 0, 2, 1, 3, 3, 3],
+            [4, 4, 1, 2, 2, 0, 5, 5],
+            [-3, -1, -2, -1, -3, 0, 1, 0, 2, 0],
+            [-3, -1, -2, -1, -3],
+            [0, 1, 0],
+            [0, 2, 2, 0, 0, 0],
+            [0, 1, 2, 3],
+            [1, 1, 1],
+        ],
+        ids=[
+            "odd-plateau",
+            "even-plateau",
+            "plateau-at-start",
+            "plateau-at-end",
+            "plateaus-at-both-ends",
+            "negative-maxima-skipped",
+            "only-negative-maxima",
+            "one-peak",
+            "one-even-plateau",
+            "monotone",
+            "constant",
+        ],
+    )
+    def test_matches_loop_oracle_on_plateaus(self, x):
+        s = Signal(np.array(x, dtype=np.float64), 2.0)
+        got = _envelope_or_error(fit_envelope, s)
+        assert got == _envelope_or_error(fit_envelope_loop, s)
+
+    def test_matches_loop_oracle_on_short_integer_signals(self):
+        rng = SplitMix64(4242)
+        for trial in range(300):
+            x = np.array([rng.below(5) - 2.0 for _ in range(2 + rng.below(30))])
+            s = Signal(x, 8.0)
+            got = _envelope_or_error(fit_envelope, s)
+            assert got == _envelope_or_error(fit_envelope_loop, s), trial
 
 
 class TestFitModel:
