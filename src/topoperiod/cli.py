@@ -20,6 +20,7 @@ built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -307,7 +308,13 @@ _DISPATCH = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process.
+
+    Parsing keeps no state in the parser: option defaults from a config
+    file are applied later, by ``_resolve``.
+    """
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", help="write the result here instead of stdout")
     shared.add_argument("--config", help="JSON file supplying option defaults")

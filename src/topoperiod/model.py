@@ -6,6 +6,18 @@ across segment boundaries: each segment inherits the accumulated phase of
 its predecessor at the boundary time. Estimation walks the signal's zero
 crossings, splits the gap sequence where the local mean gap shifts, and
 reads each segment's frequency from its mean half-period.
+
+Both searches in the fit are vectorized and exact:
+
+- **Gap splits.** Every window mean is taken once, and every position
+  where two adjacent windows differ enough is found in one test. Only
+  the triggers that the scan actually reaches are refined in Python.
+- **Initial phase.** The squared error of ``a sin(theta + phi)`` against
+  the first interval is a trigonometric polynomial of degree 2 in
+  ``phi``, so six sums over the interval screen all 256 grid phases at
+  once. Only the phases whose screened error lies within a rounding bound
+  of the smallest are re-scored with the direct sum, and the first of
+  their minima wins, which is the phase a full direct scan would pick.
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .embedding import PointCloud, _sign_changes, crossing_positions
 from .errors import (
@@ -32,6 +45,11 @@ _GAP_WINDOW = 8
 _GAP_SHIFT = 0.2
 
 _PHI_GRID = 256  # resolution of the initial-phase search, steps of 2*pi/256
+_PHI = _TWO_PI * np.arange(_PHI_GRID) / _PHI_GRID
+_COS_PHI, _SIN_PHI = np.cos(_PHI), np.sin(_PHI)
+_COS_2PHI, _SIN_2PHI = np.cos(2.0 * _PHI), np.sin(2.0 * _PHI)
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -126,13 +144,12 @@ class PiecewiseSinusoidModel:
             for i in range(len(periods))
         )
         if isinstance(envelope, (int, float)):
-            env: tuple[tuple[float, float], ...] = (
+            envelope = [
                 (boundaries[0], float(envelope)),
                 (boundaries[-1], float(envelope)),
-            )
-        else:
-            env = tuple((float(t), float(a)) for t, a in envelope)
-        return cls(segs, env)
+            ]
+        # The constructor turns the rows into float pairs.
+        return cls(segs, envelope)
 
     @property
     def t_start(self) -> float:
@@ -217,25 +234,30 @@ def _split_gap_runs(gaps: np.ndarray) -> list[int]:
 
     A split is declared when two adjacent windows of _GAP_WINDOW gaps have
     means differing by more than _GAP_SHIFT of the left mean, then refined
-    to the largest adjacent-gap jump near the trigger point.
+    to the largest adjacent-gap jump near the trigger point. The scan then
+    resumes one window past the split, so triggers it jumps over are
+    skipped.
     """
     n = gaps.size
     w = _GAP_WINDOW
+    if n < 2 * w:
+        return []
+    # means[k] is the mean of gaps[k : k + w], reduced in the same order
+    # as np.mean of that slice, so every trigger test matches bit for bit.
+    means = sliding_window_view(gaps, w).mean(axis=1)
+    left, right = means[:-w], means[w:]
+    triggers = np.flatnonzero(np.abs(left - right) > _GAP_SHIFT * left) + w
+    jumps = np.abs(np.diff(gaps))
     splits: list[int] = []
-    i = w
-    while i + w <= n:
-        mu_l = float(np.mean(gaps[i - w : i]))
-        mu_r = float(np.mean(gaps[i : i + w]))
-        if abs(mu_l - mu_r) > _GAP_SHIFT * mu_l:
-            lo = max(1, i - 2)
-            hi = min(n - 1, i + w)
-            jumps = np.abs(gaps[lo : hi + 1] - gaps[lo - 1 : hi])
-            bp = lo + int(np.argmax(jumps))
-            if not splits or bp > splits[-1]:
-                splits.append(bp)
-            i = bp + w
-        else:
-            i += 1
+    k = np.searchsorted(triggers, w)
+    while k < triggers.size:
+        i = int(triggers[k])
+        lo = max(1, i - 2)
+        hi = min(n - 1, i + w)
+        bp = lo + int(np.argmax(jumps[lo - 1 : hi]))
+        if not splits or bp > splits[-1]:
+            splits.append(bp)
+        k = np.searchsorted(triggers, bp + w)
     return splits
 
 
@@ -286,17 +308,76 @@ def fit_envelope(s: Signal) -> np.ndarray:
     return np.column_stack((mid / s.sample_rate_hz, x[mid]))
 
 
+def _best_phase(x: np.ndarray, amps: np.ndarray, theta: np.ndarray) -> int:
+    """Index of the grid phase minimizing ``sum((x - amps sin(theta + phi))**2)``.
+
+    The first index wins among equal errors, as in a direct scan of the
+    grid. Expanding the square gives, for every phi,
+
+        E(phi) = X - 2 (Ss cos phi + Sc sin phi)
+                 + (A - C2 cos 2phi + S2 sin 2phi) / 2
+
+    with X = sum x^2, A = sum a^2, Ss = sum x a sin theta, Sc = sum x a
+    cos theta, C2 = sum a^2 cos 2theta and S2 = sum a^2 sin 2theta. That
+    screen is exact in real arithmetic. In floating point, with u = eps/2,
+    N samples, T = max |theta| and sin and cos within 4 ulp:
+
+    - the direct sum is within u (X + A) (3T + 2N + 60) of E: rounding
+      theta + phi moves sin by up to u (T + 2 pi), sin, the product, the
+      difference and the square add a few u per term, and summing N terms
+      adds N u of their total, which is at most 2 (X + A);
+    - the screen is within u (X + A) (5N + 80) of E: each of the six sums
+      is within (N + 10) u of the sum of its terms' magnitudes, which is
+      at most X + A, and combining them adds a few u (X + A) more.
+
+    So for every phase |screen - direct| < M = u (X + A) (7N + 4T + 160),
+    and the phase with the least direct error has a screened error within
+    2M of the least screened error. Underflow adds at most one smallest
+    subnormal per rounded product, hence the (16N + 64) tiny term. Only
+    the phases inside that margin are re-scored directly; if the screen is
+    not finite, or the direct sums could overflow, every phase is.
+    """
+    # A screen that overflows is caught below, so it warns about nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xa = x * amps
+        a2 = amps * amps
+        sum_x2 = float(np.dot(x, x))
+        sum_a2 = float(np.dot(amps, amps))
+        ss = float(np.dot(xa, np.sin(theta)))
+        sc = float(np.dot(xa, np.cos(theta)))
+        c2 = float(np.dot(a2, np.cos(2.0 * theta)))
+        s2 = float(np.dot(a2, np.sin(2.0 * theta)))
+        screen = (
+            sum_x2
+            - 2.0 * (ss * _COS_PHI + sc * _SIN_PHI)
+            + 0.5 * (sum_a2 - c2 * _COS_2PHI + s2 * _SIN_2PHI)
+        )
+        scale = sum_x2 + sum_a2
+    if np.isfinite(screen).all() and math.isfinite(4.0 * scale):
+        n = x.size
+        theta_max = float(np.abs(theta).max(initial=0.0))
+        # 2M from the bound above, as eps = 2u.
+        margin = _EPS * (7 * n + 4 * theta_max + 160) * scale + (16 * n + 64) * _TINY
+        keep = np.flatnonzero(screen <= screen.min() + margin)
+    else:
+        keep = np.arange(_PHI_GRID)
+    errs = [float(np.sum((x - amps * np.sin(theta + phi)) ** 2)) for phi in _PHI[keep]]
+    return int(keep[int(np.argmin(errs))])
+
+
 def fit_model(s: Signal) -> PiecewiseSinusoidModel:
     """Estimate a piecewise-sinusoid model from a signal.
 
     Interior segment boundaries sit on zero crossings found by the gap
     scan; the outer boundaries extend to the signal's full span. The
     initial phase is picked from a 2 pi / 256 grid by least squares on the
-    first interval, and later phases follow from the continuity chain.
+    first interval, and later phases follow from the continuity chain. A
+    closed-form screen of all 256 squared errors leaves only the phases
+    within a rounding bound of the best, and those are re-scored by the
+    direct sum, so the pick is the one a direct scan of the grid makes.
     """
     est = estimate_segments(s)
     env_rows = fit_envelope(s)
-    envelope = tuple((float(t), float(a)) for t, a in env_rows)
 
     inner = [iv[0] for iv in est.intervals[1:]]
     boundaries = [0.0] + inner + [s.duration_s]
@@ -305,16 +386,13 @@ def fit_model(s: Signal) -> PiecewiseSinusoidModel:
     t = s.times()
     mask = t < boundaries[1]
     probe = PiecewiseSinusoidModel.from_periods(
-        boundaries, periods, 0.0, list(envelope)
+        boundaries, periods, 0.0, env_rows.tolist()
     )
     amps = probe.envelope_at(t[mask])
     theta = _TWO_PI * t[mask] / periods[0]
-    x = s.samples[mask]
-    grid = _TWO_PI * np.arange(_PHI_GRID) / _PHI_GRID
-    errs = [float(np.sum((x - amps * np.sin(theta + phi)) ** 2)) for phi in grid]
-    phi0 = float(grid[int(np.argmin(errs))])
+    phi0 = float(_PHI[_best_phase(s.samples[mask], amps, theta)])
 
-    return PiecewiseSinusoidModel.from_periods(boundaries, periods, phi0, list(envelope))
+    return PiecewiseSinusoidModel.from_periods(boundaries, periods, phi0, probe.envelope)
 
 
 def graph(s: Signal | np.ndarray, sample_rate_hz: float | None = None) -> PointCloud:

@@ -82,6 +82,24 @@ def _sorted_edges(
     return dist, adj, iu[order], ju[order], ev[order]
 
 
+def _edge_chunks(iu: np.ndarray, ju: np.ndarray, ev: np.ndarray, first: int):
+    """(index, u, v, value) of each sorted edge, as Python scalars.
+
+    Edges are converted in chunks that double from ``first``, so a sweep
+    that stops at the last spanning-tree edge converts few past it.
+    """
+    start, size = 0, max(first, 1)
+    while start < len(ev):
+        stop = start + size
+        yield from zip(
+            range(start, stop),
+            iu[start:stop].tolist(),
+            ju[start:stop].tolist(),
+            ev[start:stop].tolist(),
+        )
+        start, size = stop, 2 * size
+
+
 def _dim0(
     n: int, iu: np.ndarray, ju: np.ndarray, ev: np.ndarray
 ) -> tuple[list[PersistenceInterval], np.ndarray]:
@@ -104,7 +122,7 @@ def _dim0(
 
     tree_edge = np.zeros(len(ev), dtype=bool)
     components = n
-    for idx, (u, v, val) in enumerate(zip(iu.tolist(), ju.tolist(), ev.tolist())):
+    for idx, u, v, val in _edge_chunks(iu, ju, ev, n):
         ru = find(u)
         rv = find(v)
         if ru != rv:

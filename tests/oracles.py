@@ -7,7 +7,8 @@ distance from exhaustive matching enumeration instead of binary search,
 the ellipse parameters from a least-squares conic fit. Slow is fine; these
 only ever see tiny inputs. The library's former engines
 (``bottleneck_kuhn``, ``h1_diagram_heap``, ``random_subsample_list``,
-``fit_envelope_loop``) are kept too, as oracles for inputs too big for the exhaustive ones.
+``fit_envelope_loop``, ``split_gap_runs_loop``, ``best_phase_scan``) are
+kept too, as oracles for inputs too big for the exhaustive ones.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections import Counter
 import numpy as np
 
 from topoperiod.errors import InsufficientPeaksError
+from topoperiod.model import _GAP_SHIFT, _GAP_WINDOW, _PHI_GRID
 from topoperiod.persistence import (
     PersistenceDiagram,
     PersistenceInterval,
@@ -566,3 +568,39 @@ def fit_envelope_loop(s) -> np.ndarray:
             f"found {len(rows)} positive local maxima, need at least 2"
         )
     return np.asarray(rows)
+
+
+def split_gap_runs_loop(gaps: np.ndarray) -> list[int]:
+    """Split points of a gap sequence, one window pair at a time.
+
+    The library's former ``_split_gap_runs``: both window means are taken
+    by ``np.mean`` at every scan position.
+    """
+    n = gaps.size
+    w = _GAP_WINDOW
+    splits: list[int] = []
+    i = w
+    while i + w <= n:
+        mu_l = float(np.mean(gaps[i - w : i]))
+        mu_r = float(np.mean(gaps[i : i + w]))
+        if abs(mu_l - mu_r) > _GAP_SHIFT * mu_l:
+            lo = max(1, i - 2)
+            hi = min(n - 1, i + w)
+            jumps = np.abs(gaps[lo : hi + 1] - gaps[lo - 1 : hi])
+            bp = lo + int(np.argmax(jumps))
+            if not splits or bp > splits[-1]:
+                splits.append(bp)
+            i = bp + w
+        else:
+            i += 1
+    return splits
+
+
+def best_phase_scan(x: np.ndarray, amps: np.ndarray, theta: np.ndarray) -> int:
+    """Grid index of the least squared error, scoring every grid phase directly.
+
+    The library's former initial-phase search in ``fit_model``.
+    """
+    grid = 2.0 * math.pi * np.arange(_PHI_GRID) / _PHI_GRID
+    errs = [float(np.sum((x - amps * np.sin(theta + phi)) ** 2)) for phi in grid]
+    return int(np.argmin(errs))

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -705,6 +709,33 @@ class TestOptionResolution:
         code, _, err = cli("acl", path, "--config", config)
         assert code == 1
         assert error_kind(err) == "InvalidInput"
+
+
+class TestParserReuse:
+    def test_in_process_calls_match_fresh_processes(self, cli, sine, tmp_path):
+        # The parser is built once per process; a usage error must leave
+        # nothing behind that changes a later call's output.
+        path, _ = sine
+        calls = [
+            ("acl", path, "--window", "nonsense"),
+            ("fit", path),
+            ("acl", path, "--window", "0.0:0.05"),
+        ]
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        codes = []
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "topoperiod.cli", *map(str, argv)],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=tmp_path,
+            )
+            assert cli(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(fresh.returncode)
+        assert codes == [2, 0, 0]
+        assert cli_module._build_parser() is cli_module._build_parser()
 
 
 class TestDeterminism:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from topoperiod import (
     InsufficientPeaksError,
@@ -20,6 +23,7 @@ from topoperiod import (
     synthesize,
 )
 from topoperiod.embedding import crossing_positions
+from topoperiod.model import _GAP_WINDOW, _PHI_GRID, _best_phase, _split_gap_runs
 from topoperiod.subsampling import SplitMix64
 
 from fixtures import (
@@ -30,7 +34,12 @@ from fixtures import (
     reference_signal,
     wheeze_model,
 )
-from oracles import fit_envelope_loop, zero_crossing_times
+from oracles import (
+    best_phase_scan,
+    fit_envelope_loop,
+    split_gap_runs_loop,
+    zero_crossing_times,
+)
 
 
 def _ptp(s: Signal) -> float:
@@ -190,6 +199,117 @@ class TestEstimateSegments:
             times = crossing_positions(s.samples) / s.sample_rate_hz
             want = zero_crossing_times(s.samples, s.sample_rate_hz)
             assert times.tobytes() == want.tobytes()
+
+
+def _fit_signals() -> list[Signal]:
+    """Fixture tones, wheezes at 44.1 kHz and noise: few to many gap triggers."""
+    sigs = [synthesize(fit_fixture(i), 4000.0) for i in range(12)]
+    sigs += [synthesize(wheeze_model(i), 44100.0) for i in range(0, 8, 3)]
+    sigs += [gauss_noise(seed) for seed in GAUSS_SEEDS]
+    sigs += [noise_signal(seed) for seed in range(3)]
+    sigs.append(reference_signal())
+    return sigs
+
+
+def _gaps(s: Signal) -> np.ndarray:
+    return np.diff(crossing_positions(s.samples) / s.sample_rate_hz)
+
+
+def _phase_inputs(s: Signal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first-interval samples, envelope and angle fit_model scores."""
+    est = estimate_segments(s)
+    rows = fit_envelope(s)
+    model = PiecewiseSinusoidModel.from_periods(
+        [0.0, s.duration_s], [1.0 / est.frequencies[0]], 0.0, rows.tolist()
+    )
+    t = s.times()
+    mask = t < (est.intervals[1][0] if len(est.intervals) > 1 else s.duration_s)
+    theta = 2.0 * math.pi * t[mask] * est.frequencies[0]
+    return s.samples[mask], model.envelope_at(t[mask]), theta
+
+
+class TestSplitGapRuns:
+    def test_windowed_mean_is_bitwise_slice_mean(self):
+        # The vectorized trigger test is exact only because the windowed
+        # mean reduces each window in the order np.mean reduces a slice.
+        w = _GAP_WINDOW
+        for s in _fit_signals():
+            gaps = _gaps(s)
+            got = sliding_window_view(gaps, w).mean(axis=1)
+            want = np.array([np.mean(gaps[k : k + w]) for k in range(gaps.size - w + 1)])
+            assert got.tobytes() == want.tobytes()
+
+    def test_matches_loop_oracle_on_fixtures(self):
+        triggered = 0
+        for s in _fit_signals():
+            gaps = _gaps(s)
+            want = split_gap_runs_loop(gaps)
+            assert _split_gap_runs(gaps) == want
+            triggered = max(triggered, len(want))
+        assert triggered >= 100  # the noise signals split many times
+
+    def test_matches_loop_oracle_on_tied_integer_steps(self):
+        rng = SplitMix64(515)
+        for trial in range(300):
+            level = 1 + rng.below(4)
+            gaps = []
+            for _ in range(1 + rng.below(8)):
+                level = max(1, level + rng.below(5) - 2)
+                gaps += [float(level)] * (1 + rng.below(20))
+                if rng.below(3) == 0:
+                    gaps.append(float(level + 1))
+            gaps = np.array(gaps)
+            assert _split_gap_runs(gaps) == split_gap_runs_loop(gaps), trial
+
+    @pytest.mark.parametrize("count", range(2 * _GAP_WINDOW + 2))
+    def test_matches_loop_oracle_on_short_sequences(self, count):
+        rng = SplitMix64(9000 + count)
+        for _ in range(40):
+            step = np.array([1.0 + rng.below(3) for _ in range(count)])
+            smooth = np.array([1.0 + (rng.next_u64() >> 11) / 2**53 for _ in range(count)])
+            for gaps in (step, smooth, np.repeat(step[:1], count)):
+                assert _split_gap_runs(gaps) == split_gap_runs_loop(gaps)
+
+
+class TestBestPhase:
+    def test_matches_direct_scan_on_fit_inputs(self):
+        for s in _fit_signals():
+            x, amps, theta = _phase_inputs(s)
+            assert _best_phase(x, amps, theta) == best_phase_scan(x, amps, theta)
+
+    def test_all_zero_ties_to_first_phase(self):
+        theta = np.linspace(0.0, 40.0, 500)
+        zeros = np.zeros(500)
+        assert _best_phase(zeros, zeros, theta) == 0
+        amps = np.full(500, 0.5)
+        assert _best_phase(zeros, amps, theta) == best_phase_scan(zeros, amps, theta)
+
+    def test_overflow_falls_back_to_direct_scan(self):
+        theta = np.linspace(0.0, 40.0, 500)
+        x = np.sin(theta)
+        amps = np.ones(500)
+        x[123] = amps[123] = 1e300  # the envelope follows the peak
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _best_phase(x, amps, theta) == 0
+            assert best_phase_scan(x, amps, theta) == 0
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4000),
+        st.sampled_from([1.0, 1e3, 1e5]),
+        st.sampled_from([1e-150, 1e-3, 1.0, 1e100]),
+        st.floats(0.0, 1.0),
+    )
+    def test_matches_direct_scan(self, seed, n, top, scale, noise):
+        rng = np.random.default_rng(seed)
+        theta = np.sort(rng.uniform(-top, top, n))
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        amps = scale * rng.uniform(0.1, 2.0, n)
+        x = amps * np.sin(theta + phase) + noise * scale * rng.standard_normal(n)
+        if seed % 5 == 0:
+            x = np.round(x / scale) * scale  # ties between grid phases
+        assert _best_phase(x, amps, theta) == best_phase_scan(x, amps, theta)
 
 
 class TestFitEnvelope:
