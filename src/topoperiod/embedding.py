@@ -22,6 +22,28 @@ from .errors import (
 from .signal_io import Signal
 
 
+def pairwise(p: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distances from each row of p to each row of q (default p).
+
+    Squared coordinate differences are summed one coordinate at a time,
+    in coordinate order, and the sum is square-rooted: the order the
+    functions of ``scipy.spatial.distance`` sum in, so the distances equal
+    theirs to the last bit. A reduction over the coordinate axis
+    (``np.linalg.norm``, ``np.sum``) sums 8 or more terms pairwise and
+    rounds differently.
+    One accumulator and one temporary of shape (len(p), len(q)) are live.
+    """
+    q = p if q is None else q
+    acc = np.subtract.outer(p[:, 0], q[:, 0])
+    acc *= acc
+    tmp = np.empty_like(acc)
+    for k in range(1, p.shape[1]):
+        np.subtract.outer(p[:, k], q[:, k], out=tmp)
+        tmp *= tmp
+        acc += tmp
+    return np.sqrt(acc, out=acc)
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """A finite set of points in a common ambient dimension.
@@ -55,9 +77,7 @@ class PointCloud:
         """Largest pairwise Euclidean distance, 0 for fewer than 2 points."""
         if len(self) < 2:
             return 0.0
-        from scipy.spatial.distance import pdist
-
-        return float(pdist(self.points).max())
+        return float(pairwise(self.points).max())
 
 
 @dataclass(frozen=True)

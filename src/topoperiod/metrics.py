@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .embedding import PointCloud
+from .embedding import PointCloud, pairwise
 from .errors import DimensionMismatchError, EmptyCloudError
 from .persistence import PersistenceDiagram
 
@@ -38,6 +38,15 @@ def hausdorff(a: PointCloud, b: PointCloud) -> float:
     The larger of the two directed distances, where the directed distance
     is the worst nearest-neighbor distance from one cloud into the other.
     Euclidean throughout.
+
+    Up to 4 000 000 point pairs (``len(a) * len(b)``) every distance is
+    computed with ``pairwise``; above that, a k-d tree finds the nearest
+    neighbors, so memory stays linear in the cloud sizes. The two paths
+    sum squared coordinates in different orders, and on clouds of 8 or
+    more dimensions they disagree in the last bit on about a fifth of
+    random cloud pairs. The bytes ``topoperiod dist hausdorff`` prints
+    for such clouds therefore depend on which side of the size fork the
+    pair falls.
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptyCloudError("Hausdorff distance needs two nonempty clouds")
@@ -49,9 +58,7 @@ def hausdorff(a: PointCloud, b: PointCloud) -> float:
         d_ab = cKDTree(b.points).query(a.points)[0].max()
         d_ba = cKDTree(a.points).query(b.points)[0].max()
         return float(max(d_ab, d_ba))
-    from scipy.spatial.distance import cdist
-
-    d = cdist(a.points, b.points)
+    d = pairwise(a.points, b.points)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 

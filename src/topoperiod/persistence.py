@@ -30,9 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
-from .embedding import PointCloud
+from .embedding import PointCloud, pairwise
 from .errors import EmptyCloudError
 
 
@@ -67,7 +66,7 @@ def _sorted_edges(
     """
     if len(cloud) == 0:
         raise EmptyCloudError("cannot compute persistence of an empty cloud")
-    dist = squareform(pdist(cloud.points))
+    dist = pairwise(cloud.points)
     if max_eps is None or max_eps == "auto":
         eps = float(dist.max())
     else:

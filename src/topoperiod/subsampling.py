@@ -58,6 +58,10 @@ def maxmin(cloud: PointCloud, n: int, seed: int = 0) -> PointCloud:
     pts = cloud.points
     rng = SplitMix64(seed)
     chosen = [rng.below(total)]
+    # Kept on np.linalg.norm rather than embedding.pairwise: the norm sums
+    # 8 or more coordinates pairwise, not in order, so on clouds of 8+
+    # dimensions the two differ in the last bit, and switching could
+    # change which points are picked, and with them the subsample's bytes.
     mind = np.linalg.norm(pts - pts[chosen[0]], axis=1)
     for _ in range(n - 1):
         nxt = int(np.argmax(mind))  # argmax takes the first max: lowest index

@@ -738,6 +738,54 @@ class TestParserReuse:
         assert cli_module._build_parser() is cli_module._build_parser()
 
 
+# Runs in a fresh interpreter, so the modules it reports are the ones the
+# commands themselves import.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+from fixtures import noise_signal, reference_signal
+from topoperiod import save_csv
+from topoperiod.cli import run
+save_csv(reference_signal(), "sig.csv")
+save_csv(noise_signal(2000), "noise.csv")
+with open("manifest.csv", "w") as f:
+    f.write("sig.csv,harmonic\\nnoise.csv,non-harmonic\\n")
+calls = [
+    ["acl", "sig.csv", "--out", "acl.csv"],
+    ["detect", "sig.csv", "--out", "report.json"],
+    ["eval", "manifest.csv", "--out", "eval.json"],
+    ["embed", "sig.csv", "--out", "cloud.csv"],
+    ["subsample", "cloud.csv", "--n", "30", "--out", "sub.csv"],
+    ["subsample", "cloud.csv", "--n", "30", "--method", "random", "--out", "rsub.csv"],
+    ["persist", "sub.csv", "--out", "dgm.json", "--render", "dgm.svg"],
+    ["persist", "sub.csv", "--max-dim", "3", "--out", "dgm3.json"],
+    ["render", "report.json", "--out", "report.svg"],
+    ["render", "sub.csv", "--out", "cloud.svg"],
+]
+codes = [run(argv) for argv in calls]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+class TestImportFootprint:
+    def test_detect_path_loads_no_scipy(self, tmp_path):
+        # scipy is needed only for fitting and synthesis (PCHIP envelopes)
+        # and for the k-d tree of a large Hausdorff pair.
+        src = Path(cli_module.__file__).resolve().parents[1]
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0] * 10
+        assert result["scipy"] == []
+
+
 class TestDeterminism:
     def test_detect_is_byte_identical_across_runs(self, cli, tmp_path):
         s = synthesize(wheeze_model(1), 4000.0)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from topoperiod import (
     AclCurve,
@@ -25,7 +28,7 @@ from topoperiod import (
     write_cloud_csv,
 )
 from topoperiod import embedding
-from topoperiod.embedding import cloud_csv_text, crossing_positions
+from topoperiod.embedding import cloud_csv_text, crossing_positions, pairwise
 from topoperiod.subsampling import SplitMix64
 
 from fixtures import (
@@ -399,6 +402,34 @@ class TestPointCloudType:
         cloud = PointCloud(np.zeros((7, 3)))
         assert len(cloud) == 7
         assert cloud.dim == 3
+
+
+def _cloud(rng: np.random.Generator, kind: str, n: int, dim: int, scale: float):
+    if kind == "gauss":
+        return scale * rng.standard_normal((n, dim))
+    if kind == "grid":
+        # Half-integer coordinates: many exactly tied distances.
+        return scale * np.round(rng.uniform(-3.0, 3.0, (n, dim)) * 2.0) / 2.0
+    return scale * rng.uniform(0.0, 1.0, (n, dim))
+
+
+class TestPairwise:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["gauss", "grid", "uniform"]),
+        dim=st.integers(1, 12),
+        n=st.integers(1, 120),
+        m=st.integers(1, 120),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_bit_identical_to_scipy(self, seed, kind, dim, n, m, log_scale):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        p = _cloud(rng, kind, n, dim, scale)
+        q = _cloud(rng, kind, m, dim, scale)
+        assert np.array_equal(pairwise(p), squareform(pdist(p)))
+        assert np.array_equal(pairwise(p, q), cdist(p, q))
 
 
 class TestCloudCsv:
