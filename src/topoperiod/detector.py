@@ -96,6 +96,7 @@ def detect(s: Signal, config: PipelineConfig | None = None) -> DetectionReport:
     """Classify a signal as harmonic, non-harmonic, or undecidable."""
     cfg = config if config is not None else PipelineConfig()
     normed = normalize(s)
+    n, diagram, score, reason = 0, PersistenceDiagram(()), 0.0, None
     try:
         if cfg.delay is not None:
             delay = int(cfg.delay)
@@ -103,43 +104,26 @@ def detect(s: Signal, config: PipelineConfig | None = None) -> DetectionReport:
             delay = find_delay(normed, cfg.strategy)
         cloud = delay_embed(normed, delay)
     except (NoZeroCrossingError, NoCriticalPointsError, SignalTooShortError) as exc:
-        return DetectionReport(
-            label="undecidable",
-            significance_score=0.0,
-            threshold=cfg.threshold,
-            delay=None,
-            subsample_method=cfg.method,
-            subsample_size=0,
-            seed=cfg.seed,
-            diagram=PersistenceDiagram(()),
-            reason=f"{exc.kind}: {exc}",
-        )
-
-    n = min(cfg.subsample_size, len(cloud))
-    if n == len(cloud):
-        sub = cloud
-    elif cfg.method == "maxmin":
-        sub = maxmin(cloud, n, cfg.seed)
+        delay, reason = None, f"{exc.kind}: {exc}"
     else:
-        sub = random_subsample(cloud, n, cfg.seed)
+        n = min(cfg.subsample_size, len(cloud))
+        if n == len(cloud):
+            sub = cloud
+        elif cfg.method == "maxmin":
+            sub = maxmin(cloud, n, cfg.seed)
+        else:
+            sub = random_subsample(cloud, n, cfg.seed)
+        diameter = sub.diameter()
+        if diameter == 0.0:
+            reason = "degenerate cloud with zero diameter"
+        else:
+            diagram = h1_diagram(sub)
+            score = significance(diagram, diameter)
 
-    diameter = sub.diameter()
-    if diameter == 0.0:
-        return DetectionReport(
-            label="harmonic" if 0.0 >= cfg.threshold else "non-harmonic",
-            significance_score=0.0,
-            threshold=cfg.threshold,
-            delay=delay,
-            subsample_method=cfg.method,
-            subsample_size=n,
-            seed=cfg.seed,
-            diagram=PersistenceDiagram(()),
-            reason="degenerate cloud with zero diameter",
-        )
-
-    diagram = h1_diagram(sub)
-    score = significance(diagram, diameter)
-    label = "harmonic" if score >= cfg.threshold else "non-harmonic"
+    if delay is None:
+        label = "undecidable"
+    else:
+        label = "harmonic" if score >= cfg.threshold else "non-harmonic"
     return DetectionReport(
         label=label,
         significance_score=score,
@@ -149,7 +133,7 @@ def detect(s: Signal, config: PipelineConfig | None = None) -> DetectionReport:
         subsample_size=n,
         seed=cfg.seed,
         diagram=diagram,
-        reason=None,
+        reason=reason,
     )
 
 

@@ -124,11 +124,12 @@ def acl(s: Signal, form: str = "lag") -> AclCurve:
 
     Notes
     -----
-    This computes all k lags in O(k^2). Delay selection needs only the
-    lags up to the strategy's feature, so ``detect`` and ``embed --delay
-    auto`` go through ``find_delay``, which evaluates the same sums lazily.
-    The sums are direct rather than FFT-based because an FFT rounds
-    differently and could move a zero crossing, and with it the delay.
+    This computes all k lags in O(k^2), and it is the reference for delay
+    selection. ``detect`` and ``embed --delay auto`` go through
+    ``find_delay``, which evaluates the same sums one lag at a time and
+    stops after the strategy's feature. The sums are direct rather than
+    FFT-based because an FFT rounds differently and could move a zero
+    crossing, and with it the delay.
     """
     x = s.samples
     if form == "lag":
@@ -246,8 +247,8 @@ def select_delay(curve: AclCurve, strategy: str = "first-zero") -> int:
     does not supply the feature the strategy needs.
 
     This scans a full curve from ``acl``. ``detect`` and ``embed --delay
-    auto`` use ``find_delay`` instead, which gives the same delay while
-    evaluating the curve only until the strategy's feature is found. Both
+    auto`` use ``find_delay`` instead, which gives the same delay, or the
+    same error, from a scan that stops at the strategy's feature. Both
     use direct sums, not an FFT, whose different rounding could move a
     zero crossing and with it the delay.
     """
@@ -255,43 +256,36 @@ def select_delay(curve: AclCurve, strategy: str = "first-zero") -> int:
     return _delay_from(_feature_lags(curve.values, strategy), strategy, len(curve))
 
 
-# Lazy evaluation starts with at most this many lags and doubles the block
-# each time.
-_FIRST_BLOCK = 256
-# Overhead of one np.dot call, in multiply-adds of the dot product itself
-# (about 9 000 measured on an x86-64 vCPU with OpenBLAS).
-_DOT_CALL_COST = 10_000
-
-
 def find_delay(s: Signal, strategy: str = "first-zero") -> int:
-    """The delay ``select_delay(acl(s), strategy)`` picks, at less cost.
+    """The delay ``select_delay(acl(s), strategy)`` picks, from one scan.
 
     Lag j of the curve is computed as ``np.dot(x[:k-j], x[j:])``, the
     same sum with the same rounding as ``np.correlate``, which calls the
-    same dot routine once per lag. Lags come in blocks that double in
-    size, until the lags so far contain the strategy's feature. Blocks
-    stop where the lags so far and the next block together would cost
-    more than a sixteenth of the k^2 multiply-adds of ``acl``'s
-    ``np.correlate``; the curve then comes from one full ``acl`` call, so
-    a curve without the feature costs at most about a sixteenth extra.
-    The first block is 256 lags, or on a shorter signal the most lags
-    that budget admits; below about 400 samples it admits none. The
-    errors, messages included, are those of ``select_delay``.
+    same dot routine once per lag. Lags come in blocks of 1, 2, 4, ...,
+    so the blocks end at 2^b - 1 lags. After each block the lags so far
+    are scanned for the strategy's features; the scan stops as soon as
+    they hold enough of them, or when they are the whole curve. A curve
+    whose feature lies at lag j costs at most about 2j dot products.
+    A curve without the feature costs all k dot products, one call each:
+    1-2 us of call overhead per lag above what ``np.correlate`` takes,
+    so on a featureless curve of a few thousand samples or fewer this is
+    several times slower than ``acl``. The errors, messages included,
+    are those of ``select_delay``, because the last prefix is the full
+    curve.
     """
     _check_strategy(strategy)
     x = s.samples
     k = x.size
     vals = np.empty(k)
-    m, block = 0, min(_FIRST_BLOCK, k * k // (16 * (k + _DOT_CALL_COST)))
-    while block and 16 * (m + block) * (k + _DOT_CALL_COST) <= k * k:
-        for j in range(m, m + block):
+    m = 0
+    while True:
+        stop = min(2 * m + 1, k)
+        for j in range(m, stop):
             vals[j] = np.dot(x[: k - j], x[j:])
-        m += block
+        m = stop
         lags = _feature_lags(vals[:m], strategy)
-        if len(lags) >= _FEATURES_NEEDED[strategy]:
+        if m == k or len(lags) >= _FEATURES_NEEDED[strategy]:
             return _delay_from(lags, strategy, k)
-        block *= 2
-    return select_delay(acl(s), strategy)
 
 
 def delay_embed(s: Signal, delay: int, dim: int = 2) -> PointCloud:

@@ -416,9 +416,13 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
     column of ``n_edges * n`` bytes, allocated once per call: adding a
     column XORs its keys in place, the next pivot is the first set byte
     past the last one, and the touched keys are cleared when the column is
-    done. A pivot that is its owner's apparent triangle is reduced by the
-    owner's coboundary, built on first use; a pivot of an earlier reduced
-    column by that column's odd-count keys, summed on first use.
+    done. A pivot of an earlier reduced column is reduced by that column:
+    the odd-count keys of its sources, summed on first use and kept in
+    place of them. A pivot that is its owner's apparent triangle is
+    reduced by the owner's coboundary, built each time, since one is
+    rarely needed twice. Each reduced column still holds all its sources
+    until a later pivot needs it, and most never do, so the peak memory
+    is that of every source of every reduced column.
     """
     _, _, iu, ju, ev = _sorted_edges(cloud, max_eps)
     n = len(cloud)
@@ -454,19 +458,10 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
         key = key[ws]
         return np.where(key < t * n, t * n + ws, key)
 
-    stored: dict[int, np.ndarray] = {}
-    # A reduced column waits as its list of sources until a later pivot
-    # needs it; the odd-count keys of their concatenation are the column.
+    # A reduced column waits, keyed by its pivot, as its list of sources
+    # until a later pivot needs it; the odd-count keys of their
+    # concatenation are the column, which then replaces the list.
     pending: dict[int, list[np.ndarray]] = {}
-
-    def column(key: int) -> np.ndarray | None:
-        col = stored.get(key)
-        if col is None and key in pending:
-            keys, counts = np.unique(np.concatenate(pending.pop(key)), return_counts=True)
-            col = stored[key] = keys[counts % 2 == 1]
-        elif col is None and apparent_pivot[key // n] == key:
-            col = stored[key] = coboundary(key // n)
-        return col
 
     # A column's keys are distinct, so XOR into the dense column is its
     # GF(2) sum; every addition clears the pivot and sets nothing below it.
@@ -477,7 +472,16 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
         low = t * n
         while True:
             low += int(work[low:].argmax())
-            if not work[low] or (other := column(low)) is None:
+            if not work[low]:
+                break
+            if low in pending:
+                if len(pending[low]) > 1:
+                    keys, counts = np.unique(np.concatenate(pending[low]), return_counts=True)
+                    pending[low] = [keys[counts % 2 == 1]]
+                other = pending[low][0]
+            elif apparent_pivot[low // n] == low:
+                other = coboundary(low // n)
+            else:
                 break
             work[other] ^= True
             srcs.append(other)

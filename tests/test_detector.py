@@ -128,45 +128,86 @@ class TestDetect:
 
     def test_constant_signal_is_undecidable(self):
         rep = detect(Signal(np.full(200, 1.5), 100.0))
-        assert rep.label == "undecidable"
-        assert rep.significance_score == 0.0
-        assert rep.delay is None
-        assert "NoZeroCrossing" in rep.reason
-        assert len(rep.diagram) == 0
+        assert rep.to_dict() == {
+            "label": "undecidable",
+            "significance": 0.0,
+            "threshold": 0.15,
+            "delay": None,
+            "subsample_method": "random",
+            "subsample_size": 0,
+            "seed": 0,
+            "diagram": [],
+            "reason": "NoZeroCrossing: curve has 0 zero crossing(s), 1 needed",
+        }
 
     def test_short_signal_is_undecidable(self):
+        # The requested delay is not echoed: no cloud was built with it.
         rep = detect(
-            Signal(np.sin(np.arange(60.0)), 10.0), PipelineConfig(delay=60)
+            Signal(np.sin(np.arange(60.0)), 10.0),
+            PipelineConfig(delay=60, seed=7, method="maxmin"),
         )
-        assert rep.label == "undecidable"
-        assert "SignalTooShort" in rep.reason
+        assert rep.to_dict() == {
+            "label": "undecidable",
+            "significance": 0.0,
+            "threshold": 0.15,
+            "delay": None,
+            "subsample_method": "maxmin",
+            "subsample_size": 0,
+            "seed": 7,
+            "diagram": [],
+            "reason": "SignalTooShort: signal of length 60 cannot be embedded "
+            "with delay 60, dim 2",
+        }
 
     def test_degenerate_cloud_reason(self):
-        rep = detect(Signal(np.full(50, 2.0), 10.0), PipelineConfig(delay=1))
-        assert rep.label == "non-harmonic"
-        assert rep.significance_score == 0.0
-        assert "zero diameter" in rep.reason
+        s = Signal(np.full(50, 2.0), 10.0)
+        expected = {
+            "label": "non-harmonic",
+            "significance": 0.0,
+            "threshold": 0.15,
+            "delay": 1,
+            "subsample_method": "random",
+            "subsample_size": 49,
+            "seed": 0,
+            "diagram": [],
+            "reason": "degenerate cloud with zero diameter",
+        }
+        assert detect(s, PipelineConfig(delay=1)).to_dict() == expected
+        # A score of 0 meets a threshold of 0, so the same cloud is harmonic.
+        rep = detect(s, PipelineConfig(delay=1, threshold=0.0, seed=3, subsample_size=20))
+        assert rep.to_dict() == {
+            **expected,
+            "label": "harmonic",
+            "threshold": 0.0,
+            "subsample_size": 20,
+            "seed": 3,
+        }
 
     def test_delay_override_is_echoed(self):
         rep = detect(_sine(40.0, 4000.0, 2000), PipelineConfig(delay=31))
         assert rep.delay == 31
 
     def test_report_dict_shape(self):
-        rep = detect(_sine(40.0, 4000.0, 2000))
-        d = rep.to_dict()
-        assert set(d) == {
-            "label",
-            "significance",
-            "threshold",
-            "delay",
-            "subsample_method",
-            "subsample_size",
-            "seed",
-            "diagram",
-            "reason",
+        s = _sine(40.0, 4000.0, 2000)
+        rep = detect(s, PipelineConfig(seed=5))
+        # The same pipeline, spelled out stage by stage.
+        normed = normalize(s)
+        delay = select_delay(acl(normed))
+        sub = random_subsample(delay_embed(normed, delay), 100, 5)
+        diagram = h1_diagram(sub)
+        score = significance(diagram, sub.diameter())
+        assert score >= 0.15
+        assert rep.to_dict() == {
+            "label": "harmonic",
+            "significance": score,
+            "threshold": 0.15,
+            "delay": delay,
+            "subsample_method": "random",
+            "subsample_size": 100,
+            "seed": 5,
+            "diagram": diagram.to_dicts(),
+            "reason": None,
         }
-        assert d["label"] == rep.label
-        assert d["subsample_size"] == 100
 
     def test_decision_stability_chain(self):
         # Jitter within one percent of peak: subsampled clouds stay close

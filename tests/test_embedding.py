@@ -217,16 +217,20 @@ class TestFindDelay:
         [(1018.0, 254, 255), (1019.5, 255, 256), (1022.0, 256, 257)],
     )
     def test_crossing_at_the_first_block_boundary(self, monkeypatch, period, straddle, lag):
+        # Blocks of 1, 2, 4, ... lags end at 2^b - 1 lags, so one block
+        # ends after lag 254 and the next starts at lag 255; these
+        # crossings lie just before, across and just after that edge.
         s = Signal(np.sin(2 * np.pi * np.arange(20000) / period), 1.0)
         assert int(crossing_positions(acl(s).values)[0]) == straddle
         _assert_same_delays(s)
-        # With the full curve unavailable, the lazy blocks alone find it.
+        # With the full curve unavailable, the scan alone finds it.
         monkeypatch.setattr(embedding, "acl", None)
         assert find_delay(s, "first-zero") == lag
 
     def test_curve_touching_zero_on_the_block_boundary(self, monkeypatch):
         # Lag 256 pairs every nonzero sample with a zero one, so the curve
-        # is exactly 0 there, positive before and negative after.
+        # is exactly 0 there, positive before and negative after; lag 255
+        # starts a block, so the zero and both its neighbours lie in it.
         x = np.tile(np.repeat([1.0, 0.0, -1.0, 0.0], 256), 20)
         s = Signal(x, 1.0)
         v = acl(s).values
@@ -236,8 +240,8 @@ class TestFindDelay:
         assert find_delay(s, "first-zero") == 256
 
     def test_short_tone_takes_the_lazy_path(self, monkeypatch):
-        # At k = 4000 the budget admits a first block of 71 lags, which
-        # holds every feature of a 200 Hz tone sampled at 4 kHz.
+        # A 200 Hz tone sampled at 4 kHz has every feature within the
+        # first 31 lags, the first five blocks.
         s = Signal(np.sin(2 * np.pi * 200.0 * np.arange(4000) / 4000.0), 4000.0)
         curve = acl(s)
         expected = [select_delay(curve, strategy) for strategy in STRATEGIES]
@@ -247,16 +251,29 @@ class TestFindDelay:
     def test_curve_with_exact_zeros_at_every_odd_lag(self):
         _assert_same_delays(Signal(np.tile([1.0, 0.0, -1.0, 0.0], 5000), 1.0))
 
+    # Signals of 3 and 255 samples end exactly on a block edge.
     @pytest.mark.parametrize("k", [2, 3, 100, 255])
     def test_shorter_than_one_block(self, k):
         _assert_same_delays(Signal(np.cos(np.arange(k) * 0.7), 1.0))
         _assert_same_delays(Signal(np.ones(k), 1.0))
 
-    def test_no_crossing_raises_the_full_curve_error(self):
+    def test_no_crossing_raises_the_full_curve_error(self, monkeypatch):
         s = Signal(1.0 + 0.5 * np.sin(np.arange(20000) * 0.003), 1.0)
+        _assert_same_delays(s)
+        # The scan reaches the end of the curve without the full curve.
+        monkeypatch.setattr(embedding, "acl", None)
         with pytest.raises(NoZeroCrossingError, match=r"^curve has 0 zero crossing\(s\), 1 needed$"):
             find_delay(s, "first-zero")
-        _assert_same_delays(s)
+
+    def test_long_period_tone_scans_past_a_thousand_lags(self, monkeypatch):
+        # Period 1000: zeros near lags 250 and 750 and critical points near
+        # 500 and 1000, so mid-critical reads the curve past lag 1000.
+        s = Signal(np.sin(2 * np.pi * np.arange(30000) / 1000.0), 1.0)
+        curve = acl(s)
+        expected = [select_delay(curve, strategy) for strategy in STRATEGIES]
+        assert expected == [251, 751, 750]
+        monkeypatch.setattr(embedding, "acl", None)
+        assert [find_delay(s, strategy) for strategy in STRATEGIES] == expected
 
     def test_second_zero_with_one_crossing(self):
         # A +1/-1 pulse pair: the curve crosses zero once, stays negative
