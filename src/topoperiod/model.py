@@ -167,7 +167,16 @@ class PiecewiseSinusoidModel:
             return np.full(np.shape(t), amps[0])
         from scipy.interpolate import PchipInterpolator
 
-        interp = PchipInterpolator(ts, amps)
+        # Breakpoints packed far closer than their amplitude steps (rates
+        # near 1e200 Hz) overflow the slopes, which scipy rejects.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            try:
+                interp = PchipInterpolator(ts, amps)
+            except ValueError as exc:
+                raise ValueError(
+                    f"envelope slopes between breakpoints {float(ts[0])!r} and "
+                    f"{float(ts[-1])!r} s are not finite"
+                ) from exc
         return np.asarray(interp(np.clip(t, ts[0], ts[-1])))
 
     def to_dict(self) -> dict:

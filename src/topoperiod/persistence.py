@@ -8,11 +8,14 @@ with a union-find sweep (which yields the same interval multiset as
 matrix reduction, since every vertex is born at 0) and dimensions 1 and
 up with the standard boundary-matrix column reduction, processed from the
 top dimension down so columns already known to be births are cleared.
+Both engines start from one prelude: the edges within the cutoff in
+filtration order and a matrix of each vertex pair's edge rank, with a
+sentinel past the last edge where there is no edge.
 ``rips_filtration`` grows each dimension from the one below by adding a
 common neighbour above a simplex's last vertex, triangles included, and
 the reduction finds the row of every facet by the dense rank of its
 vertex prefixes, the same lookup in every dimension.
-``h1_diagram`` gives dimensions 0 and 1 from the same sorted edges and
+``h1_diagram`` gives dimensions 0 and 1 from the same edges, ranks and
 union-find sweep without storing triangles; the sweep stops at the last
 spanning-tree edge. It builds a coboundary column only for an edge that
 is not an apparent pair: edge t=(u,v) is apparent when some w has both
@@ -58,11 +61,14 @@ class Filtration:
 def _sorted_edges(
     cloud: PointCloud, max_eps: float | str | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Distances, adjacency and the edges within the cutoff in filtration order.
+    """Distances, edge ranks and the edges within the cutoff in filtration order.
 
-    Returns ``(dist, adj, iu, ju, ev)``: edge t joins ``iu[t] < ju[t]``
-    at value ``ev[t]``, sorted by (value, iu, ju). "auto" (or None) as
-    ``max_eps`` uses the cloud diameter, so nothing is truncated.
+    Returns ``(dist, rank, iu, ju, ev)``: edge t joins ``iu[t] < ju[t]``
+    at value ``ev[t]``, sorted by (value, iu, ju), and the int32 matrix
+    ``rank`` holds t at ``[iu[t], ju[t]]`` and ``[ju[t], iu[t]]`` and the
+    sentinel ``len(ev)`` at every pair that is not an edge, the diagonal
+    included. "auto" (or None) as ``max_eps`` uses the cloud diameter, so
+    nothing is truncated.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("cannot compute persistence of an empty cloud")
@@ -71,32 +77,16 @@ def _sorted_edges(
         eps = float(dist.max())
     else:
         eps = float(max_eps)
-        if eps < 0:
+        # NaN fails every comparison, so this also rejects a NaN cutoff.
+        if not eps >= 0:
             raise ValueError("max_eps must be nonnegative")
-    adj = dist <= eps
-    np.fill_diagonal(adj, False)
-    iu, ju = np.nonzero(np.triu(adj, 1))
+    iu, ju = np.nonzero(np.triu(dist <= eps, 1))
     ev = dist[iu, ju]
     order = np.lexsort((ju, iu, ev))
-    return dist, adj, iu[order], ju[order], ev[order]
-
-
-def _edge_chunks(iu: np.ndarray, ju: np.ndarray, ev: np.ndarray, first: int):
-    """(index, u, v, value) of each sorted edge, as Python scalars.
-
-    Edges are converted in chunks that double from ``first``, so a sweep
-    that stops at the last spanning-tree edge converts few past it.
-    """
-    start, size = 0, max(first, 1)
-    while start < len(ev):
-        stop = start + size
-        yield from zip(
-            range(start, stop),
-            iu[start:stop].tolist(),
-            ju[start:stop].tolist(),
-            ev[start:stop].tolist(),
-        )
-        start, size = stop, 2 * size
+    iu, ju, ev = iu[order], ju[order], ev[order]
+    rank = np.full(dist.shape, ev.size, dtype=np.int32)
+    rank[iu, ju] = rank[ju, iu] = np.arange(ev.size, dtype=np.int32)
+    return dist, rank, iu, ju, ev
 
 
 def _dim0(
@@ -121,7 +111,7 @@ def _dim0(
 
     tree_edge = np.zeros(len(ev), dtype=bool)
     components = n
-    for idx, u, v, val in _edge_chunks(iu, ju, ev, n):
+    for idx, (u, v, val) in enumerate(zip(iu.tolist(), ju.tolist(), ev.tolist())):
         ru = find(u)
         rv = find(v)
         if ru != rv:
@@ -152,9 +142,10 @@ def rips_filtration(
         Distance cutoff for simplex inclusion. "auto" (or None) uses the
         cloud diameter, so nothing is truncated.
     """
-    dist, adj, iu, ju, ev = _sorted_edges(cloud, max_eps)
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
+    dist, rank, iu, ju, ev = _sorted_edges(cloud, max_eps)
+    adj = rank < len(ev)
     n = len(cloud)
 
     simplices: list[np.ndarray] = [
@@ -308,7 +299,6 @@ def persistent_homology(filtration: Filtration) -> PersistenceDiagram:
     # down. Lows of the reduced matrix one dimension up are simplices
     # already known to be births, so their columns are cleared (skipped).
     cleared: set[int] = set()
-    dim1_lows: set[int] = set()
     for p in range(filtration.max_dim, 1, -1):
         cols = filtration.simplices[p]
         col_vals = filtration.values[p]
@@ -327,14 +317,13 @@ def persistent_homology(filtration: Filtration) -> PersistenceDiagram:
             death = float(col_vals[col_rank])
             if death > birth:
                 out.append(PersistenceInterval(p - 1, birth, death))
-        if p == 2:
-            dim1_lows = set(paired_rows)
         cleared = set(paired_rows)
 
     if filtration.max_dim >= 2:
-        # Cycle-creating edges never paired by a triangle are essential.
+        # Cycle-creating edges never paired by a triangle are essential;
+        # after the triangle step, ``cleared`` holds the paired edges.
         for r in np.nonzero(~tree_edge)[0]:
-            if int(r) not in dim1_lows:
+            if int(r) not in cleared:
                 out.append(PersistenceInterval(1, float(edge_vals[r]), math.inf))
 
     return PersistenceDiagram(tuple(out))
@@ -424,15 +413,11 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
     until a later pivot needs it, and most never do, so the peak memory
     is that of every source of every reduced column.
     """
-    _, _, iu, ju, ev = _sorted_edges(cloud, max_eps)
+    # Indexing rather than unpacking into ``_`` lets the distances go now.
+    rank, iu, ju, ev = _sorted_edges(cloud, max_eps)[1:]
     n = len(cloud)
     n_edges = int(iu.size)
     out, tree_edge = _dim0(n, iu, ju, ev)
-
-    # Edge ranks, with the sentinel n_edges for pairs that are not edges,
-    # the diagonal included.
-    rank = np.full((n, n), n_edges, dtype=np.int32)
-    rank[iu, ju] = rank[ju, iu] = np.arange(n_edges, dtype=np.int32)
 
     # apparent_pivot[t] is t's pivot if t is an apparent pair, else -1.
     # Blocks of edges bound the temporaries; argmax finds the first w.

@@ -41,6 +41,16 @@ class SplitMix64:
         return (self.next_u64() * n) >> 64
 
 
+def _checked_total(cloud: PointCloud, n: int) -> int:
+    """The cloud's size, once a subsample of n points is known to fit in it."""
+    total = len(cloud)
+    if n < 1:
+        raise ValueError("subsample size must be at least 1")
+    if n > total:
+        raise NTooLargeError(f"requested {n} points from a cloud of {total}")
+    return total
+
+
 def maxmin(cloud: PointCloud, n: int, seed: int = 0) -> PointCloud:
     """Greedy farthest-point subsample of size n, in selection order.
 
@@ -50,11 +60,7 @@ def maxmin(cloud: PointCloud, n: int, seed: int = 0) -> PointCloud:
     over the cloud, so it covers the cloud at least as well as a random
     pick of the same size on average.
     """
-    total = len(cloud)
-    if n < 1:
-        raise ValueError("subsample size must be at least 1")
-    if n > total:
-        raise NTooLargeError(f"requested {n} points from a cloud of {total}")
+    total = _checked_total(cloud, n)
     pts = cloud.points
     rng = SplitMix64(seed)
     chosen = [rng.below(total)]
@@ -72,11 +78,7 @@ def maxmin(cloud: PointCloud, n: int, seed: int = 0) -> PointCloud:
 
 def random_subsample(cloud: PointCloud, n: int, seed: int = 0) -> PointCloud:
     """Seeded uniform subsample without replacement, in selection order."""
-    total = len(cloud)
-    if n < 1:
-        raise ValueError("subsample size must be at least 1")
-    if n > total:
-        raise NTooLargeError(f"requested {n} points from a cloud of {total}")
+    total = _checked_total(cloud, n)
     rng = SplitMix64(seed)
     # Partial Fisher-Yates over a virtual index list: ``moved`` holds only
     # the slots a swap has changed, so the cost is O(n), not O(total).

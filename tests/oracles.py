@@ -342,13 +342,11 @@ def h1_diagram_heap(cloud, max_eps="auto") -> PersistenceDiagram:
     are found as in the library; the edge prelude and union-find sweep
     are the library's own.
     """
-    _, adj, iu, ju, ev = _sorted_edges(cloud, max_eps)
+    _, rank, iu, ju, ev = _sorted_edges(cloud, max_eps)
     n = len(cloud)
     n_edges = int(iu.size)
     out, tree_edge = _dim0(n, iu, ju, ev)
-
-    rank = np.full((n, n), n_edges, dtype=np.int32)
-    rank[iu, ju] = rank[ju, iu] = np.arange(n_edges, dtype=np.int32)
+    adj = rank < n_edges
     n3 = n**3
 
     def triple(u, v, w):

@@ -266,6 +266,13 @@ class TestPersistCommand:
         assert code == 1 and out == ""
         assert error_kind(err) == "InvalidInput"
 
+    @pytest.mark.parametrize("max_dim", ["1", "2", "3"])
+    def test_nan_max_eps_is_invalid(self, cli, square_cloud, max_dim):
+        path, _ = square_cloud
+        code, out, err = cli("persist", path, "--max-eps", "nan", "--max-dim", max_dim)
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+
     def test_empty_cloud_reports_domain_error(self, cli, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# nothing here\n")
@@ -385,6 +392,25 @@ class TestFitCommand:
         assert code == 0
         model = PiecewiseSinusoidModel.from_dict(json.loads(model_path.read_text()))
         assert 1.0 / model.segments[0].period == pytest.approx(100.0, rel=0.02)
+
+    def test_overflowing_envelope_slopes_give_one_error_line(self, tmp_path):
+        # At 1e200 Hz the envelope breakpoints sit 4e-200 s apart, so the
+        # slopes of a modulated tone overflow. A fresh process shows any
+        # warning that would reach stderr.
+        i = np.arange(4000)
+        x = (1.0 + 0.5 * np.sin(2 * np.pi * i / 997)) * np.sin(2 * np.pi * i / 40)
+        path = tmp_path / "fast.csv"
+        save_csv(Signal(x, 1e200), path)
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "topoperiod.cli", "fit", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert error_kind(proc.stderr) == "InvalidInput"
+        assert "dydx" not in proc.stderr and "breakpoints" in proc.stderr
 
 
 class TestDetectCommand:

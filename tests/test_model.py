@@ -1,6 +1,7 @@
 """Piecewise-sinusoid model: synthesis, estimation, fitting, graphs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -447,6 +448,14 @@ class TestFitModel:
         resynth = synthesize(fitted, s.sample_rate_hz)
         d = hausdorff(graph(s), graph(resynth))
         assert d >= 0.05 * _ptp(s)
+
+    def test_overflowing_envelope_slopes_name_the_span(self):
+        i = np.arange(4000)
+        x = (1.0 + 0.5 * np.sin(2 * np.pi * i / 997)) * np.sin(2 * np.pi * i / 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="between breakpoints 1e-199 and"):
+                fit_model(Signal(x, 1e200))
 
 
 class TestGraph:

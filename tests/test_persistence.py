@@ -113,6 +113,20 @@ class TestRipsFiltration:
             with pytest.raises(ValueError):
                 h1_diagram(cloud, max_eps=-1.0)
 
+    def test_nan_cutoff_rejected(self):
+        # NaN is not below zero either, yet it is no cutoff: every
+        # comparison with it fails, so it would keep no edge.
+        for cloud in (_square(), PointCloud(np.array([[2.0, 2.0]]))):
+            with pytest.raises(ValueError, match="max_eps"):
+                h1_diagram(cloud, max_eps=math.nan)
+            for max_dim in (1, 2, 3):
+                with pytest.raises(ValueError, match="max_eps"):
+                    rips_filtration(cloud, max_dim=max_dim, max_eps=math.nan)
+
+    def test_max_dim_checked_before_the_cloud(self):
+        with pytest.raises(ValueError, match="max_dim"):
+            rips_filtration(PointCloud(np.empty((0, 2))), max_dim=0)
+
     def test_iteration_order_and_closure(self):
         for kind, max_dim in product(_GROWER_CLOUDS, [2, 3, 4]):
             f = rips_filtration(_grower_cloud(kind), max_dim=max_dim)
