@@ -62,6 +62,10 @@ class SinusoidSegment:
     phase: float
 
 
+# SinusoidSegment fields and their keys in ``to_dict``.
+_SEGMENT_FIELDS = (("t_start", "t0"), ("t_end", "t1"), ("period", "period"), ("phase", "phase"))
+
+
 def _wrap_phase(x: float) -> float:
     """Map a phase difference into (-pi, pi]."""
     return x - _TWO_PI * math.floor((x + math.pi) / _TWO_PI)
@@ -74,9 +78,11 @@ class PiecewiseSinusoidModel:
     ``envelope`` holds (time, amplitude) breakpoints, strictly increasing
     in time and positive in amplitude; between breakpoints the envelope is
     interpolated with a shape-preserving monotone cubic, and outside them
-    it holds the edge value. Construction fails with PhaseConditionError
-    unless each phase equals the previous one plus the boundary-time
-    correction that keeps the waveform continuous.
+    it holds the edge value. Construction fails with ValueError, naming
+    the field, when a segment time, period or phase or an envelope time or
+    amplitude is not finite, and with PhaseConditionError unless each
+    phase equals the previous one plus the boundary-time correction that
+    keeps the waveform continuous.
     """
 
     segments: tuple[SinusoidSegment, ...]
@@ -91,6 +97,20 @@ class PiecewiseSinusoidModel:
             raise ValueError("model needs at least one envelope breakpoint")
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "envelope", env)
+
+        # Named by the field and its model-file key: an infinite time or a
+        # NaN phase would otherwise fail far from here, or not at all.
+        for i, seg in enumerate(segs):
+            for name, key in _SEGMENT_FIELDS:
+                value = getattr(seg, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"segment {i} {name} ({key}) must be finite, got {value}")
+        for i, (t, a) in enumerate(env):
+            if not (math.isfinite(t) and math.isfinite(a)):
+                name, key, value = ("amplitude", "a", a) if math.isfinite(t) else ("time", "t", t)
+                raise ValueError(
+                    f"envelope breakpoint {i} {name} ({key}) must be finite, got {value}"
+                )
 
         for seg in segs:
             if not (seg.period > 0):

@@ -17,14 +17,19 @@ the reduction finds the row of every facet by the dense rank of its
 vertex prefixes, the same lookup in every dimension.
 ``h1_diagram`` gives dimensions 0 and 1 from the same edges, ranks and
 union-find sweep without storing triangles; the sweep stops at the last
-spanning-tree edge. It builds a coboundary column only for an edge that
+spanning-tree edge. Its "auto" cutoff is the enclosing radius
+``min_i max_j d(i, j)``, not the diameter: from that radius on the
+complex is a cone on the centre point, so every later edge gives only
+zero-length bars. It builds a coboundary column only for an edge that
 is not an apparent pair: edge t=(u,v) is apparent when some w has both
 edges to u and v ranked below t, and pairs with the triangle of the
-smallest such w. A triangle is keyed by the rank of its longest edge
+smallest such w, which a scan of the first few vertices finds for most
+edges. A triangle is keyed by the rank of its longest edge
 times n plus the vertex opposite that edge, so its owner edge is
 ``key // n``, which finds an apparent column when a reduction needs it.
 Columns are added by XOR into one dense boolean working column indexed by
-key, so an addition needs no sort and no merge.
+key, so an addition needs no sort and no merge; the keys of non-triangles
+land in a tail past the last real key, so no column is filtered.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class Filtration:
 
 
 def _sorted_edges(
-    cloud: PointCloud, max_eps: float | str | None
+    cloud: PointCloud, max_eps: float | str | None, enclosing: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Distances, edge ranks and the edges within the cutoff in filtration order.
 
@@ -68,21 +73,25 @@ def _sorted_edges(
     ``rank`` holds t at ``[iu[t], ju[t]]`` and ``[ju[t], iu[t]]`` and the
     sentinel ``len(ev)`` at every pair that is not an edge, the diagonal
     included. "auto" (or None) as ``max_eps`` uses the cloud diameter, so
-    nothing is truncated.
+    nothing is truncated, or with ``enclosing`` the enclosing radius
+    ``min_i max_j d(i, j)``, past which only zero-length bars are born
+    (see ``h1_diagram``).
     """
     if len(cloud) == 0:
         raise EmptyCloudError("cannot compute persistence of an empty cloud")
     dist = pairwise(cloud.points)
     if max_eps is None or max_eps == "auto":
-        eps = float(dist.max())
+        eps = float(dist.max(axis=1).min() if enclosing else dist.max())
     else:
         eps = float(max_eps)
         # NaN fails every comparison, so this also rejects a NaN cutoff.
         if not eps >= 0:
             raise ValueError("max_eps must be nonnegative")
+    # np.nonzero yields (iu, ju) in lexicographic order, which a stable
+    # sort by value keeps among ties.
     iu, ju = np.nonzero(np.triu(dist <= eps, 1))
     ev = dist[iu, ju]
-    order = np.lexsort((ju, iu, ev))
+    order = np.argsort(ev, kind="stable")
     iu, ju, ev = iu[order], ju[order], ev[order]
     rank = np.full(dist.shape, ev.size, dtype=np.int32)
     rank[iu, ju] = rank[ju, iu] = np.arange(ev.size, dtype=np.int32)
@@ -384,6 +393,11 @@ def _reduce_dim(
     return pivot_col_of_row, zero_cols
 
 
+# Vertices every cycle edge is first tested against for an apparent pair;
+# only the edges with no hit among them rescan their whole rows.
+_APPARENT_PREFIX = 8
+
+
 def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> PersistenceDiagram:
     """Dimension 0 and 1 persistence of a cloud without storing triangles.
 
@@ -394,70 +408,99 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
     spanning-tree edges of the union-find sweep are dimension-0 deaths
     and need no column.
 
+    "auto" (or None) as ``max_eps`` stops the filtration at the enclosing
+    radius ``r = min_i max_j d(i, j)``, not at the diameter as
+    ``rips_filtration`` does, and the diagram is the same. Let c be a
+    vertex with ``max_j d(c, j) = r``. At every scale ``eps >= r``, c is
+    joined to every vertex, and every simplex gains c without exceeding
+    eps, so the complex is a cone on c: it is connected and has no
+    1-dimensional homology. So every bar of positive length dies by r,
+    and an edge or triangle of value above r only opens and closes
+    zero-length bars, which are never reported. The simplices of value at
+    most r are a prefix of the filtration order, so their pairs are the
+    same as in the full filtration.
+
     A triangle is keyed ``rank * n + w``: the rank of its longest edge and
     the vertex opposite that edge, so its owner edge is ``key // n``. Most
     non-tree edges t=(u,v) are apparent pairs: some w has both edges to u
     and v ranked below t. The pivot of t is then ``t * n + w`` for the
     smallest such w, which no column reduced before t can hold, so t pairs
-    with it as a zero-length bar and needs no column either.
+    with it as a zero-length bar and needs no column either. The first
+    few vertices are tested for every edge at once, and only the edges
+    without a hit among them are tested against every vertex.
 
     Only the remaining edges are reduced, each in one dense GF(2) working
-    column of ``n_edges * n`` bytes, allocated once per call: adding a
-    column XORs its keys in place, the next pivot is the first set byte
-    past the last one, and the touched keys are cleared when the column is
-    done. A pivot of an earlier reduced column is reduced by that column:
-    the odd-count keys of its sources, summed on first use and kept in
-    place of them. A pivot that is its owner's apparent triangle is
-    reduced by the owner's coboundary, built each time, since one is
-    rarely needed twice. Each reduced column still holds all its sources
-    until a later pivot needs it, and most never do, so the peak memory
-    is that of every source of every reduced column.
+    column of ``(n_edges + 1) * n`` bytes, allocated once per call: adding
+    a column XORs its keys in place, the next pivot is the first set byte
+    past the last one below ``n_edges * n``, and the touched keys are
+    cleared when the column is done. A coboundary holds one key per w;
+    where w is u or v or is not joined to both, the sentinel edge rank
+    puts its key in the last n bytes, which no pivot scan reads, so no
+    key needs filtering out. A pivot of an earlier reduced column is
+    reduced by that column: the odd-count keys of its sources, summed on
+    first use and kept in place of them. A pivot that is its owner's
+    apparent triangle is reduced by the owner's coboundary, built each
+    time, since one is rarely needed twice. Each reduced column still
+    holds all its sources until a later pivot needs it, and most never
+    do, so the peak memory is that of every source of every reduced
+    column.
     """
     # Indexing rather than unpacking into ``_`` lets the distances go now.
-    rank, iu, ju, ev = _sorted_edges(cloud, max_eps)[1:]
+    rank, iu, ju, ev = _sorted_edges(cloud, max_eps, enclosing=True)[1:]
     n = len(cloud)
     n_edges = int(iu.size)
+    top = n_edges * n
     out, tree_edge = _dim0(n, iu, ju, ev)
 
-    # apparent_pivot[t] is t's pivot if t is an apparent pair, else -1.
-    # Blocks of edges bound the temporaries; argmax finds the first w.
-    cycle_edges = np.flatnonzero(~tree_edge)
-    apparent_pivot = np.full(n_edges, -1, dtype=np.int64)
-    for start in range(0, cycle_edges.size, 512):
-        t = cycle_edges[start : start + 512]
-        below = np.maximum(rank[iu[t]], rank[ju[t]]) < t[:, None]
+    def first_apparent(t: np.ndarray, width: int) -> np.ndarray:
+        # For each edge of t, the first w < width whose edges to both ends
+        # rank below it, or -1; argmax finds the first True of a row.
+        below = np.maximum(rank[iu[t], :width], rank[ju[t], :width]) < t[:, None]
         w = below.argmax(axis=1)
-        hit = below[np.arange(t.size), w]
-        apparent_pivot[t[hit]] = t[hit] * n + w[hit]
+        return np.where(below[np.arange(t.size), w], w, -1)
+
+    # apparent_pivot[t] is t's pivot if t is an apparent pair, else -1.
+    # Blocks of edges bound the temporaries of the full-row rescan.
+    cycle_edges = np.flatnonzero(~tree_edge)
+    w = first_apparent(cycle_edges, _APPARENT_PREFIX)
+    misses = np.flatnonzero(w < 0)
+    for start in range(0, misses.size, 512):
+        block = misses[start : start + 512]
+        w[block] = first_apparent(cycle_edges[block], n)
+    apparent_pivot = np.full(n_edges, -1, dtype=np.int64)
+    hit = w >= 0
+    apparent_pivot[cycle_edges[hit]] = cycle_edges[hit] * n + w[hit]
 
     # rank * n as int64 for the keys; the int32 rank keeps the test above fast.
     rank_n = rank.astype(np.int64) * n
+    opposite = np.arange(n)
 
     def coboundary(t: int) -> np.ndarray:
-        # Unsorted keys of the triangles on edge t=(u, v), one per w. The
-        # longer of (u, w) and (v, w) gives the key unless t is the longest;
-        # the sentinel drops w = u, w = v and every w not joined to both.
+        # Unsorted keys of the triangles on edge t=(u, v), one per w: the
+        # largest of the keys with (u, w), (v, w) or t as the longest edge,
+        # since an edge of higher rank gives a key of at least its rank * n.
+        # The sentinel rank sends w = u, w = v and every w not joined to
+        # both to a key of at least ``top``.
         u, v = int(iu[t]), int(ju[t])
-        key = np.maximum(rank_n[u] + v, rank_n[v] + u)
-        ws = (key < n_edges * n).nonzero()[0]
-        key = key[ws]
-        return np.where(key < t * n, t * n + ws, key)
+        return np.maximum(np.maximum(rank_n[u] + v, rank_n[v] + u), t * n + opposite)
 
     # A reduced column waits, keyed by its pivot, as its list of sources
     # until a later pivot needs it; the odd-count keys of their
     # concatenation are the column, which then replaces the list.
     pending: dict[int, list[np.ndarray]] = {}
 
-    # A column's keys are distinct, so XOR into the dense column is its
-    # GF(2) sum; every addition clears the pivot and sets nothing below it.
-    work = np.zeros(n_edges * n, dtype=bool)
+    # Below ``top`` a column's keys are distinct, so XOR into the dense
+    # column is its GF(2) sum; every addition clears the pivot and sets
+    # nothing below it. The sentinel tail past ``top`` is never read.
+    work = np.zeros(top + n, dtype=bool)
+    live = work[:top]
     for t in cycle_edges[apparent_pivot[cycle_edges] < 0][::-1].tolist():
         srcs = [coboundary(t)]
         work[srcs[0]] = True
         low = t * n
         while True:
-            low += int(work[low:].argmax())
-            if not work[low]:
+            low += int(live[low:].argmax())
+            if not live[low]:
                 break
             if low in pending:
                 if len(pending[low]) > 1:
@@ -470,7 +513,7 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
                 break
             work[other] ^= True
             srcs.append(other)
-        if not work[low]:
+        if not live[low]:
             out.append(PersistenceInterval(1, float(ev[t]), math.inf))
             continue
         pending[low] = srcs

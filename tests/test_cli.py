@@ -377,6 +377,30 @@ class TestSynthCommand:
         assert code == 1
         assert error_kind(err) == "InvalidInput"
 
+    @pytest.mark.parametrize(
+        "part, index, key, value",
+        [("segments", -1, "t1", math.inf), ("segments", 0, "phase", math.nan),
+         ("envelope", -1, "a", math.inf)],
+        ids=["t1-inf", "phase-nan", "a-inf"],
+    )
+    def test_non_finite_model_number_gives_one_error_line(self, tmp_path, part, index, key, value):
+        # Python's json writes and reads Infinity and NaN. A fresh process
+        # shows any traceback or warning that would reach stderr.
+        model = wheeze_model(1).to_dict()
+        model[part][index][key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "topoperiod.cli", "synth", str(path), "--rate", "4000"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert error_kind(proc.stderr) == "InvalidInput"
+        assert f"({key}) must be finite" in json.loads(proc.stderr)["message"]
+
 
 class TestFitCommand:
     def test_model_json_matches_library(self, cli, sine):

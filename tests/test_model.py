@@ -102,6 +102,26 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             PiecewiseSinusoidModel(seg, ((0.0, -1.0),))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "field, key", [("t_start", "t0"), ("t_end", "t1"), ("period", "period"), ("phase", "phase")]
+    )
+    def test_non_finite_segment_field_rejected(self, field, key, value):
+        seg = {"t_start": 0.0, "t_end": 0.01, "period": 0.01, "phase": 0.0, field: value}
+        with pytest.raises(ValueError, match=rf"segment 0 {field} \({key}\) must be finite"):
+            PiecewiseSinusoidModel((SinusoidSegment(**seg),), ((0.0, 1.0),))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("column, name, key", [(0, "time", "t"), (1, "amplitude", "a")])
+    def test_non_finite_envelope_field_rejected(self, column, name, key, value):
+        seg = (SinusoidSegment(0.0, 0.01, 0.01, 0.0),)
+        point = [0.01, 2.0]
+        point[column] = value
+        with pytest.raises(
+            ValueError, match=rf"envelope breakpoint 1 {name} \({key}\) must be finite"
+        ):
+            PiecewiseSinusoidModel(seg, ((0.0, 1.0), tuple(point)))
+
     def test_boundary_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PiecewiseSinusoidModel.from_periods([0.0, 1.0], [0.01, 0.005])

@@ -24,7 +24,7 @@ from topoperiod import (
     rips_filtration,
     synthesize,
 )
-from topoperiod.persistence import _GROW_BLOCK
+from topoperiod.persistence import _APPARENT_PREFIX, _GROW_BLOCK, _sorted_edges
 from topoperiod.subsampling import SplitMix64
 
 from fixtures import noise_signal, wheeze_model
@@ -374,6 +374,80 @@ class TestH1DiagramAgreement:
         assert h1_diagram(one).to_dicts() == [{"dim": 0, "birth": 0.0, "death": None}]
         twin = PointCloud(np.array([[1.0, 2.0], [1.0, 2.0]]))
         assert h1_diagram(twin).to_dicts() == [{"dim": 0, "birth": 0.0, "death": None}]
+
+
+_half_integer_clouds = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(
+        st.tuples(*[st.integers(0, 6).map(lambda k: k / 2) for _ in range(dim)]),
+        min_size=1,
+        max_size=14,
+    )
+)
+_random_clouds = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(
+        st.tuples(*[st.floats(-100.0, 100.0, allow_nan=False) for _ in range(dim)]),
+        min_size=1,
+        max_size=14,
+    )
+)
+
+
+class TestH1DiagramEnclosingRadius:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(_random_clouds, _half_integer_clouds))
+    def test_auto_cutoff_gives_the_diameter_diagram(self, points):
+        cloud = PointCloud(np.array(points, dtype=float))
+        fast = h1_diagram(cloud)
+        assert fast == h1_diagram(cloud, max_eps=cloud.diameter())
+        assert fast == persistent_homology(rips_filtration(cloud, max_dim=2))
+
+    def test_polygon_bar_dies_at_the_tied_enclosing_radius(self):
+        # Eight lattice points on the circle of radius sqrt(5), and the
+        # centre: all eight spokes tie at the enclosing radius sqrt(5), half
+        # the diameter. The octagon's loop is born at its longest side, 2,
+        # and dies at sqrt(5), when the centre cones it off.
+        ring = [(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2), (1, -2), (2, -1)]
+        cloud = PointCloud(np.array(ring + [(0, 0)], dtype=float))
+        spokes = np.linalg.norm(cloud.points[:8], axis=1)
+        assert np.all(spokes == math.sqrt(5.0))
+        assert math.sqrt(5.0) < cloud.diameter()
+        fast = h1_diagram(cloud)
+        assert [(iv.birth, iv.death) for iv in fast.in_dim(1)] == [(2.0, math.sqrt(5.0))]
+        assert fast == h1_diagram(cloud, max_eps=math.sqrt(5.0))
+        assert fast == h1_diagram(cloud, max_eps=cloud.diameter())
+        assert fast == persistent_homology(rips_filtration(cloud, max_dim=2))
+
+    def test_apparent_vertex_past_the_scanned_prefix(self):
+        # The first _APPARENT_PREFIX vertices sit in a far cluster, so every
+        # apparent pair among the near points has its smallest vertex past
+        # them and is found only by the full-row rescan.
+        far = np.zeros((_APPARENT_PREFIX, 2))
+        far[:, 0] = 100.0 + 0.1 * np.arange(_APPARENT_PREFIX)
+        near = _random_cloud(86, 12).points
+        cloud = PointCloud(np.vstack((far, near)))
+        rank = _sorted_edges(cloud, "auto", enclosing=True)[1]
+        firsts = []
+        for u, v in combinations(range(_APPARENT_PREFIX, len(cloud)), 2):
+            below = np.flatnonzero(np.maximum(rank[u], rank[v]) < rank[u, v])
+            if below.size:
+                firsts.append(int(below[0]))
+        assert firsts and min(firsts) >= _APPARENT_PREFIX
+        fast = h1_diagram(cloud)
+        assert fast == h1_diagram_heap(cloud)
+        assert fast == persistent_homology(rips_filtration(cloud, max_dim=2))
+
+    def test_cutoff_leaving_an_essential_loop(self):
+        # A ring of 12 and its centre, cut between the ring's side and its
+        # radius: the centre stays alone and the ring's last edge has no
+        # triangle, so every key of its column falls in the sentinel tail.
+        cloud = PointCloud(np.vstack((_circle(12).points, [[0.0, 0.0]])))
+        side = 2 * math.sin(math.pi / 12)
+        fast = h1_diagram(cloud, max_eps=0.75)
+        assert len(fast.essential(0)) == 2
+        [loop] = fast.essential(1)
+        assert loop.birth == pytest.approx(side, abs=1e-12)
+        assert fast == h1_diagram_heap(cloud, max_eps=0.75)
+        assert fast == persistent_homology(rips_filtration(cloud, max_dim=2, max_eps=0.75))
 
 
 class TestH1DiagramHeapOracle:
