@@ -14,12 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    MalformedHeaderError,
     NoCriticalPointsError,
     NoZeroCrossingError,
     SignalTooShortError,
 )
-from .signal_io import Signal
+from .signal_io import Signal, _read_table
 
 
 def pairwise(p: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
@@ -322,19 +321,15 @@ def write_cloud_csv(cloud: PointCloud, path: str | Path) -> None:
 
 
 def read_cloud_csv(path: str | Path) -> PointCloud:
-    """Read a comma-separated point cloud written by write_cloud_csv."""
-    rows: list[list[float]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise MalformedHeaderError(f"{path}:{lineno}: bad point: {line!r}") from exc
-    if not rows:
+    """Read a comma-separated point cloud written by write_cloud_csv.
+
+    One point per line, its coordinates as ``float`` parses them; ``#``
+    and blank lines are skipped, and a file without points is an empty
+    2-D cloud. As in ``load_csv``, a file whose only comments and blank
+    lines lead it goes through numpy's C parser, any other file through
+    a per-line loop, with the same values and errors.
+    """
+    table = _read_table(path, "bad point")
+    if table.shape[0] == 0:
         return PointCloud(np.empty((0, 2)))
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise MalformedHeaderError(f"{path}: inconsistent coordinate counts")
-    return PointCloud(np.asarray(rows, dtype=np.float64))
+    return PointCloud(table)

@@ -72,21 +72,22 @@ def _sorted_edges(
     at value ``ev[t]``, sorted by (value, iu, ju), and the int32 matrix
     ``rank`` holds t at ``[iu[t], ju[t]]`` and ``[ju[t], iu[t]]`` and the
     sentinel ``len(ev)`` at every pair that is not an edge, the diagonal
-    included. "auto" (or None) as ``max_eps`` uses the cloud diameter, so
-    nothing is truncated, or with ``enclosing`` the enclosing radius
+    included. "auto" (or None) as ``max_eps`` truncates nothing. With
+    ``enclosing`` the cutoff is at most the enclosing radius
     ``min_i max_j d(i, j)``, past which only zero-length bars are born
     (see ``h1_diagram``).
     """
     if len(cloud) == 0:
         raise EmptyCloudError("cannot compute persistence of an empty cloud")
     dist = pairwise(cloud.points)
-    if max_eps is None or max_eps == "auto":
-        eps = float(dist.max(axis=1).min() if enclosing else dist.max())
-    else:
+    eps = math.inf
+    if max_eps is not None and max_eps != "auto":
         eps = float(max_eps)
         # NaN fails every comparison, so this also rejects a NaN cutoff.
         if not eps >= 0:
             raise ValueError("max_eps must be nonnegative")
+    if enclosing:
+        eps = min(eps, float(dist.max(axis=1).min()))
     # np.nonzero yields (iu, ju) in lexicographic order, which a stable
     # sort by value keeps among ties.
     iu, ju = np.nonzero(np.triu(dist <= eps, 1))
@@ -408,17 +409,17 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
     spanning-tree edges of the union-find sweep are dimension-0 deaths
     and need no column.
 
-    "auto" (or None) as ``max_eps`` stops the filtration at the enclosing
-    radius ``r = min_i max_j d(i, j)``, not at the diameter as
-    ``rips_filtration`` does, and the diagram is the same. Let c be a
-    vertex with ``max_j d(c, j) = r``. At every scale ``eps >= r``, c is
-    joined to every vertex, and every simplex gains c without exceeding
-    eps, so the complex is a cone on c: it is connected and has no
-    1-dimensional homology. So every bar of positive length dies by r,
-    and an edge or triangle of value above r only opens and closes
-    zero-length bars, which are never reported. The simplices of value at
-    most r are a prefix of the filtration order, so their pairs are the
-    same as in the full filtration.
+    The filtration stops at the enclosing radius ``r = min_i max_j
+    d(i, j)`` when ``max_eps`` is "auto" (or None) or above r, not at the
+    diameter or at ``max_eps`` as ``rips_filtration`` does, and the
+    diagram is the same. Let c be a vertex with ``max_j d(c, j) = r``.
+    At every scale ``eps >= r``, c is joined to every vertex, and every
+    simplex gains c without exceeding eps, so the complex is a cone on
+    c: it is connected and has no 1-dimensional homology. So every bar
+    of positive length dies by r, and an edge or triangle of value above
+    r only opens and closes zero-length bars, which are never reported.
+    The simplices of value at most r are a prefix of the filtration
+    order, so their pairs are the same as in the full filtration.
 
     A triangle is keyed ``rank * n + w``: the rank of its longest edge and
     the vertex opposite that edge, so its owner edge is ``key // n``. Most

@@ -10,6 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -114,16 +115,28 @@ def window(s: Signal, start_s: float, end_s: float) -> Signal:
 
 
 def _decode_pcm(data: bytes, bits: int, fmt: int, channels: int) -> np.ndarray:
-    """Decode raw frame bytes into a float64 mono array in [-1, 1)."""
+    """Decode raw frame bytes into a float64 mono array in [-1, 1).
+
+    A partial sample at the end of ``data`` is dropped, and so is a
+    partial frame of a multi-channel file.
+    """
+
+    def samples(dtype: str) -> np.ndarray:
+        width = np.dtype(dtype).itemsize
+        return np.frombuffer(data, dtype=dtype, count=len(data) // width)
+
     if fmt == _WAVE_FORMAT_IEEE_FLOAT:
-        if bits != 32:
+        if bits == 32:
+            vals = samples("<f4").astype(np.float64)
+        elif bits == 64:
+            vals = samples("<f8")
+        else:
             raise UnsupportedEncodingError(f"{bits}-bit float samples")
-        vals = np.frombuffer(data, dtype="<f4").astype(np.float64)
     elif fmt == _WAVE_FORMAT_PCM:
         if bits == 8:
-            vals = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+            vals = (samples("u1").astype(np.float64) - 128.0) / 128.0
         elif bits == 16:
-            vals = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+            vals = samples("<i2").astype(np.float64) / 32768.0
         elif bits == 24:
             raw = np.frombuffer(data, dtype=np.uint8)
             raw = raw[: (raw.size // 3) * 3].reshape(-1, 3).astype(np.int64)
@@ -131,7 +144,7 @@ def _decode_pcm(data: bytes, bits: int, fmt: int, channels: int) -> np.ndarray:
             vals = vals - ((vals & 0x800000) << 1)
             vals = vals.astype(np.float64) / float(1 << 23)
         elif bits == 32:
-            vals = np.frombuffer(data, dtype="<i4").astype(np.float64) / float(1 << 31)
+            vals = samples("<i4").astype(np.float64) / float(1 << 31)
         else:
             raise UnsupportedEncodingError(f"{bits}-bit integer samples")
     else:
@@ -159,8 +172,9 @@ def _format_tag(fmt_chunk: bytes, path: str | Path) -> int:
 def load_wav(path: str | Path) -> Signal:
     """Read an uncompressed RIFF/WAVE file and downmix to mono.
 
-    Supports 8/16/24/32-bit integer PCM and 32-bit float payloads, with
-    a plain format tag or as WAVE_FORMAT_EXTENSIBLE.
+    Supports 8/16/24/32-bit integer PCM and 32/64-bit float payloads,
+    with a plain format tag or as WAVE_FORMAT_EXTENSIBLE. A partial
+    trailing sample or frame is dropped.
     Multi-channel audio is averaged across channels. Integer samples are
     scaled by the type's magnitude so values land in [-1, 1).
     """
@@ -217,30 +231,92 @@ def save_csv(s: Signal, path: str | Path) -> None:
     Path(path).write_text(signal_csv_text(s))
 
 
-def load_csv(path: str | Path) -> Signal:
-    """Read a one-sample-per-line text signal.
+def _read_table(
+    path: str | Path,
+    label: str,
+    on_comment: Callable[[int, str], None] | None = None,
+    one_column: bool = False,
+) -> np.ndarray:
+    """The comma-separated numbers of a text file, one row per data line.
 
-    A leading ``# sample_rate=<hz>`` comment sets the rate; without it the
-    rate defaults to 1 Hz.
+    Blank lines are skipped, and a ``#`` line is passed, stripped and with
+    its line number, to ``on_comment``. Every other line is a data line:
+    fields that ``float`` parses, as many on every line (exactly one
+    with ``one_column``). Returns a float64 array of shape (rows, fields),
+    or (0, 0) without a data line.
+
+    The ``#`` and blank lines before the first data line are handled
+    here; the rest go to numpy's C parser in one call. It parses every
+    number it accepts to the same float as ``float``, and it rejects the
+    rest of what ``float`` accepts (``1_0``, non-ASCII digits) as well as
+    later ``#`` and whitespace-only lines. A file it rejects, or whose
+    shape it reads differently, is read again one line at a time, and
+    that loop gives the value or raises ``MalformedHeaderError`` naming
+    the first bad line as ``{path}:{lineno}: {label}: {line!r}``, or the
+    file when lines differ in field count.
     """
-    rate = 1.0
-    samples: list[float] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    lines = Path(path).read_text().splitlines()
+    start = 0
+    while start < len(lines):
+        line = lines[start].strip()
+        if line and not line.startswith("#"):
+            break
+        if line and on_comment is not None:
+            on_comment(start + 1, line)
+        start += 1
+    if start == len(lines):
+        return np.empty((0, 0))
+    try:
+        table = np.loadtxt(
+            lines[start:], delimiter=",", comments=None, dtype=np.float64, ndmin=2
+        )
+        if not one_column or table.shape[1] == 1:
+            return table
+    except ValueError:
+        pass
+    rows: list[list[float]] = []
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("sample_rate="):
-                try:
-                    rate = float(body.split("=", 1)[1])
-                except ValueError as exc:
-                    raise MalformedHeaderError(f"{path}:{lineno}: bad sample rate") from exc
+            if on_comment is not None:
+                on_comment(lineno, line)
             continue
         try:
-            samples.append(float(line))
+            rows.append([float(tok) for tok in ([line] if one_column else line.split(","))])
         except ValueError as exc:
-            raise MalformedHeaderError(f"{path}:{lineno}: not a number: {line!r}") from exc
-    if len(samples) < 2:
+            raise MalformedHeaderError(f"{path}:{lineno}: {label}: {line!r}") from exc
+    if not rows:
+        return np.empty((0, 0))
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise MalformedHeaderError(f"{path}: inconsistent coordinate counts")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def load_csv(path: str | Path) -> Signal:
+    """Read a one-sample-per-line text signal.
+
+    A ``# sample_rate=<hz>`` comment sets the rate, the last one if there
+    are several; without it the rate defaults to 1 Hz. Other ``#`` lines
+    and blank lines are skipped. Samples are parsed as ``float`` parses
+    them. A file whose only comments and blank lines come before the
+    first sample, and whose samples are plain ASCII numbers, is parsed
+    by numpy's C parser; any other file is read one line at a time (see
+    ``_read_table``), with the same values and errors.
+    """
+    rate = 1.0
+
+    def comment(lineno: int, line: str) -> None:
+        nonlocal rate
+        body = line[1:].strip()
+        if body.startswith("sample_rate="):
+            try:
+                rate = float(body.split("=", 1)[1])
+            except ValueError as exc:
+                raise MalformedHeaderError(f"{path}:{lineno}: bad sample rate") from exc
+
+    table = _read_table(path, "not a number", comment, one_column=True)
+    if table.shape[0] < 2:
         raise EmptyAudioError(f"{path}: fewer than two samples")
-    return Signal(np.asarray(samples, dtype=np.float64), rate)
+    return Signal(table[:, 0], rate)

@@ -8,7 +8,8 @@ the ellipse parameters from a least-squares conic fit. Slow is fine; these
 only ever see tiny inputs. The library's former engines
 (``bottleneck_kuhn``, ``h1_diagram_heap``, ``random_subsample_list``,
 ``fit_envelope_loop``, ``split_gap_runs_loop``, ``best_phase_scan``) are
-kept too, as oracles for inputs too big for the exhaustive ones.
+kept too, as oracles for inputs too big for the exhaustive ones, and so
+are its per-line CSV readers (``load_csv_loop``, ``read_cloud_csv_loop``).
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import heapq
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
-from topoperiod.errors import InsufficientPeaksError
+from topoperiod.embedding import PointCloud
+from topoperiod.errors import EmptyAudioError, InsufficientPeaksError, MalformedHeaderError
 from topoperiod.model import _GAP_SHIFT, _GAP_WINDOW, _PHI_GRID
 from topoperiod.persistence import (
     PersistenceDiagram,
@@ -28,6 +31,7 @@ from topoperiod.persistence import (
     _dim0,
     _sorted_edges,
 )
+from topoperiod.signal_io import Signal
 
 
 def gf2_rank(columns: list[int]) -> int:
@@ -602,3 +606,47 @@ def best_phase_scan(x: np.ndarray, amps: np.ndarray, theta: np.ndarray) -> int:
     grid = 2.0 * math.pi * np.arange(_PHI_GRID) / _PHI_GRID
     errs = [float(np.sum((x - amps * np.sin(theta + phi)) ** 2)) for phi in grid]
     return int(np.argmin(errs))
+
+
+def load_csv_loop(path) -> Signal:
+    """``load_csv`` as one ``float`` call per line."""
+    rate = 1.0
+    samples: list[float] = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("sample_rate="):
+                try:
+                    rate = float(body.split("=", 1)[1])
+                except ValueError as exc:
+                    raise MalformedHeaderError(f"{path}:{lineno}: bad sample rate") from exc
+            continue
+        try:
+            samples.append(float(line))
+        except ValueError as exc:
+            raise MalformedHeaderError(f"{path}:{lineno}: not a number: {line!r}") from exc
+    if len(samples) < 2:
+        raise EmptyAudioError(f"{path}: fewer than two samples")
+    return Signal(np.asarray(samples, dtype=np.float64), rate)
+
+
+def read_cloud_csv_loop(path) -> PointCloud:
+    """``read_cloud_csv`` as one ``float`` call per coordinate."""
+    rows: list[list[float]] = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise MalformedHeaderError(f"{path}:{lineno}: bad point: {line!r}") from exc
+    if not rows:
+        return PointCloud(np.empty((0, 2)))
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise MalformedHeaderError(f"{path}: inconsistent coordinate counts")
+    return PointCloud(np.asarray(rows, dtype=np.float64))

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoperiod import (
     PersistenceDiagram,
@@ -518,6 +520,62 @@ class TestDetectCommand:
 
 
 NOISE_SEED_FOR_CLI = 2000
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 0.5]),
+)
+_DIAGRAM_ROWS = st.lists(
+    st.fixed_dictionaries(
+        {"dim": st.integers(0, 3), "birth": _JSON_FLOATS, "death": st.none() | _JSON_FLOATS}
+    ),
+    max_size=30,
+)
+# Lists that look like diagrams but are not, which must take json.dumps.
+_NEAR_ROWS = st.lists(
+    st.fixed_dictionaries(
+        {"dim": st.integers(0, 3), "birth": st.text(max_size=3) | st.lists(st.integers()),
+         "death": st.none()},
+        optional={"note": st.integers()},
+    ),
+    max_size=3,
+)
+_REPORTS = st.fixed_dictionaries(
+    {
+        "label": st.sampled_from(["harmonic", "non-harmonic", "undecidable"]),
+        "significance": _JSON_FLOATS,
+        "threshold": _JSON_FLOATS,
+        "delay": st.none() | st.integers(1, 10**6),
+        "subsample_method": st.sampled_from(["random", "maxmin"]),
+        "subsample_size": st.integers(0, 1000),
+        "seed": st.integers(-(2**63), 2**63),
+        "diagram": _DIAGRAM_ROWS | _NEAR_ROWS,
+        "reason": st.none() | st.text(),
+    }
+)
+
+
+class TestJsonText:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(_REPORTS, _DIAGRAM_ROWS, _NEAR_ROWS))
+    def test_same_bytes_as_json_dumps(self, obj):
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        assert cli_module._json_text(obj) == expected
+
+    def test_detect_and_persist_print_json_dumps_bytes(self, cli, tmp_path):
+        s = synthesize(wheeze_model(0), 4000.0)
+        path = tmp_path / "wheeze.csv"
+        save_csv(s, path)
+        report = detect(s, PipelineConfig()).to_dict()
+        code, out, _ = cli("detect", path)
+        assert code == 0
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        sub = tmp_path / "sub.csv"
+        write_cloud_csv(random_subsample(delay_embed(normalize(s), report["delay"]), 60, 0), sub)
+        code, out, _ = cli("persist", sub)
+        assert code == 0
+        assert json.loads(out) and out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestEvalCommand:

@@ -24,6 +24,7 @@ from topoperiod import (
     rips_filtration,
     synthesize,
 )
+from topoperiod.embedding import pairwise
 from topoperiod.persistence import _APPARENT_PREFIX, _GROW_BLOCK, _sorted_edges
 from topoperiod.subsampling import SplitMix64
 
@@ -400,6 +401,20 @@ class TestH1DiagramEnclosingRadius:
         fast = h1_diagram(cloud)
         assert fast == h1_diagram(cloud, max_eps=cloud.diameter())
         assert fast == persistent_homology(rips_filtration(cloud, max_dim=2))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(_random_clouds, _half_integer_clouds), st.floats(0.0, 2.0))
+    def test_cutoff_at_or_above_the_radius_gives_the_auto_diagram(self, points, stretch):
+        cloud = PointCloud(np.array(points, dtype=float))
+        radius = float(pairwise(cloud.points).max(axis=1).min())
+        cutoff = radius + stretch * (cloud.diameter() - radius)
+        assert h1_diagram(cloud, max_eps=cutoff) == h1_diagram(cloud)
+
+    def test_cutoff_above_the_radius_keeps_the_auto_edges(self):
+        cloud = _random_cloud(3, 60)
+        auto = _sorted_edges(cloud, "auto", enclosing=True)[2]
+        capped = _sorted_edges(cloud, cloud.diameter(), enclosing=True)[2]
+        assert capped.size == auto.size < len(cloud) * (len(cloud) - 1) // 2
 
     def test_polygon_bar_dies_at_the_tied_enclosing_radius(self):
         # Eight lattice points on the circle of radius sqrt(5), and the

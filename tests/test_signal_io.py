@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoperiod import (
     EmptyAudioError,
@@ -14,10 +16,13 @@ from topoperiod import (
     load_csv,
     load_wav,
     normalize,
+    read_cloud_csv,
     save_csv,
     window,
 )
 from topoperiod.subsampling import SplitMix64
+
+from oracles import load_csv_loop, read_cloud_csv_loop
 
 
 def _wav_bytes(fmt: int, channels: int, rate: int, bits: int, frames: bytes) -> bytes:
@@ -121,6 +126,32 @@ class TestLoadWav:
         p.write_bytes(_wav_bytes(1, 1, 1000, 32, frames))
         s = load_wav(p)
         assert np.array_equal(s.samples, [0.5, -1.0])
+
+    def test_64bit_float_samples(self, tmp_path):
+        # The header scipy.io.wavfile.write gives a float64 array: format
+        # tag 3, 64 bits per sample.
+        frames = struct.pack("<4d", 0.25, -0.5, 1e-300, 1.5)
+        p = tmp_path / "mono_f64.wav"
+        p.write_bytes(_wav_bytes(3, 1, 8000, 64, frames))
+        s = load_wav(p)
+        assert s.samples.tobytes() == np.array([0.25, -0.5, 1e-300, 1.5]).tobytes()
+        p.write_bytes(_wav_bytes(3, 2, 8000, 64, frames))
+        assert np.array_equal(load_wav(p).samples, [-0.125, 0.75])
+
+    @pytest.mark.parametrize(
+        "fmt, bits, code",
+        [(1, 16, "h"), (1, 32, "i"), (3, 32, "f"), (3, 64, "d")],
+    )
+    def test_partial_trailing_sample_dropped(self, tmp_path, fmt, bits, code):
+        width = bits // 8
+        values = [1, 2, 3]
+        frames = struct.pack(f"<3{code}", *values)
+        p = tmp_path / "whole.wav"
+        p.write_bytes(_wav_bytes(fmt, 1, 1000, bits, frames))
+        whole = load_wav(p).samples
+        for stray in range(1, width):
+            p.write_bytes(_wav_bytes(fmt, 1, 1000, bits, frames + b"\x7f" * stray))
+            assert np.array_equal(load_wav(p).samples, whole)
 
     def test_three_channel_average(self, tmp_path):
         frames = struct.pack("<6h", 3000, 0, -3000, 300, 600, 900)
@@ -322,3 +353,53 @@ class TestCsvRoundTrip:
         p.write_text("1.0\n")
         with pytest.raises(EmptyAudioError):
             load_csv(p)
+
+
+_REPR_FIELDS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# Fields the C parser and float() may disagree on, and lines that must
+# take the per-line path.
+_ODD_FIELDS = st.sampled_from(
+    ["inf", "-Infinity", "nan", "1_0", "\u0661\u0662", "0x1p3", "nan(1)", "1 2",
+     "1.0 # c", " 0.5 ", "+1", "1e5000", "1e-400", ".5", "\x00", ""]
+)
+_ODD_LINES = st.sampled_from(
+    ["", "   ", "\t", "\x0c", "1.0\x0c2.0", "# note", "# sample_rate=8000",
+     "# sample_rate=fast", "#sample_rate=0.5", "1,2", "1.0,"]
+)
+_HEADERS = st.lists(st.sampled_from(["# sample_rate=44100.0", "", "# x", "  "]), max_size=3)
+
+
+def _csv_texts(width: int) -> st.SearchStrategy[str]:
+    clean = st.lists(_REPR_FIELDS, min_size=width, max_size=width).map(",".join)
+    mixed = st.lists(st.one_of(_REPR_FIELDS, _ODD_FIELDS), min_size=1, max_size=3).map(
+        ",".join
+    )
+    lines = st.one_of(
+        st.lists(clean, max_size=10),
+        st.lists(st.one_of(clean, clean, clean, mixed, _ODD_LINES), max_size=10),
+    )
+    return st.tuples(_HEADERS, lines, st.sampled_from(["\n", "\r\n"]), st.booleans()).map(
+        lambda t: t[2].join(t[0] + t[1]) + (t[2] if t[3] else "")
+    )
+
+
+def _outcome(read, path):
+    """A reader's result as comparable bytes, or its error class and message."""
+    try:
+        got = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Signal):
+        return got.samples.dtype.str, got.samples.shape, got.samples.tobytes(), got.sample_rate_hz.hex()
+    return got.points.dtype.str, got.points.shape, got.points.tobytes()
+
+
+class TestCsvReadersMatchLineLoop:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from([1, 1, 2, 3]).flatmap(_csv_texts))
+    def test_same_values_or_errors_as_the_loop(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("csv") / "in.csv"
+        p.write_bytes(text.encode())
+        assert _outcome(load_csv, p) == _outcome(load_csv_loop, p)
+        assert _outcome(read_cloud_csv, p) == _outcome(read_cloud_csv_loop, p)
