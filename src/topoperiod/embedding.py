@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     NoCriticalPointsError,
@@ -47,8 +48,9 @@ def pairwise(p: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
 class PointCloud:
     """A finite set of points in a common ambient dimension.
 
-    ``points`` is an (n, m) float64 array; n may be zero. Coordinates must
-    be finite.
+    ``points`` is a read-only (n, m) float64 array; n may be zero.
+    Coordinates must be finite. It may be a view that is not contiguous,
+    such as ``delay_embed``'s rows over the signal's samples.
     """
 
     points: np.ndarray
@@ -61,7 +63,6 @@ class PointCloud:
             raise ValueError("ambient dimension must be at least 1")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coordinates must be finite")
-        arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "points", arr)
 
@@ -291,8 +292,10 @@ def delay_embed(s: Signal, delay: int, dim: int = 2) -> PointCloud:
     """Embed a signal into R^dim with the given sample delay.
 
     Point i is ``(x_i, x_{i+j}, ..., x_{i+(dim-1) j})`` for delay j, giving
-    ``k - (dim-1) * j`` points for a length-k signal. Raises
-    SignalTooShortError when the signal cannot supply a single point.
+    ``k - (dim-1) * j`` points for a length-k signal. The points are a
+    read-only strided view of the samples, so the cloud costs no memory
+    of its own. Raises SignalTooShortError when the signal cannot supply
+    a single point.
     """
     if delay < 1:
         raise ValueError("delay must be at least 1 sample")
@@ -304,9 +307,7 @@ def delay_embed(s: Signal, delay: int, dim: int = 2) -> PointCloud:
         raise SignalTooShortError(
             f"signal of length {k} cannot be embedded with delay {delay}, dim {dim}"
         )
-    x = s.samples
-    cols = [x[d * delay : d * delay + count] for d in range(dim)]
-    return PointCloud(np.column_stack(cols))
+    return PointCloud(sliding_window_view(s.samples, (dim - 1) * delay + 1)[:, ::delay])
 
 
 def cloud_csv_text(cloud: PointCloud) -> str:
@@ -323,11 +324,12 @@ def write_cloud_csv(cloud: PointCloud, path: str | Path) -> None:
 def read_cloud_csv(path: str | Path) -> PointCloud:
     """Read a comma-separated point cloud written by write_cloud_csv.
 
-    One point per line, its coordinates as ``float`` parses them; ``#``
-    and blank lines are skipped, and a file without points is an empty
-    2-D cloud. As in ``load_csv``, a file whose only comments and blank
-    lines lead it goes through numpy's C parser, any other file through
-    a per-line loop, with the same values and errors.
+    One point per line, its coordinates as ``float`` parses them, all
+    finite (a non-finite one is ``MalformedHeaderError`` naming its
+    line); ``#`` and blank lines are skipped, and a file without points
+    is an empty 2-D cloud. As in ``load_csv``, a file whose only
+    comments and blank lines lead it goes through numpy's C parser, any
+    other file through a per-line loop, with the same values and errors.
     """
     table = _read_table(path, "bad point")
     if table.shape[0] == 0:

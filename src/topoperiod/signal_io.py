@@ -7,6 +7,7 @@ manual decoding anyway and the error taxonomy here is finer grained.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,41 +115,46 @@ def window(s: Signal, start_s: float, end_s: float) -> Signal:
     return Signal(s.samples[i0:i1].copy(), rate)
 
 
-def _decode_pcm(data: bytes, bits: int, fmt: int, channels: int) -> np.ndarray:
+def _decode_pcm(
+    data: bytes, bits: int, width: int, fmt: int, channels: int
+) -> np.ndarray:
     """Decode raw frame bytes into a float64 mono array in [-1, 1).
 
-    A partial sample at the end of ``data`` is dropped, and so is a
-    partial frame of a multi-channel file.
+    ``width`` is the byte size of one sample's container and ``bits`` the
+    valid bits in it, at most ``8 * width``. Valid bits sit at the top of
+    the container, so scaling by the container's range serves every
+    count of them: 12 bits in 16, 20 in 24. A partial sample at the end
+    of ``data`` is dropped, and so is a partial frame of a multi-channel
+    file. A 24-bit sample goes into the top three bytes of a zeroed int32
+    word, and the scaling by 2^31 is exact.
     """
 
     def samples(dtype: str) -> np.ndarray:
-        width = np.dtype(dtype).itemsize
         return np.frombuffer(data, dtype=dtype, count=len(data) // width)
 
+    if fmt not in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT):
+        raise UnsupportedEncodingError(f"audio format tag {fmt}")
+    if not 1 <= bits <= 8 * width:
+        raise UnsupportedEncodingError(f"{bits}-bit samples in {width}-byte containers")
     if fmt == _WAVE_FORMAT_IEEE_FLOAT:
-        if bits == 32:
+        if width == 4:
             vals = samples("<f4").astype(np.float64)
-        elif bits == 64:
+        elif width == 8:
             vals = samples("<f8")
         else:
-            raise UnsupportedEncodingError(f"{bits}-bit float samples")
-    elif fmt == _WAVE_FORMAT_PCM:
-        if bits == 8:
-            vals = (samples("u1").astype(np.float64) - 128.0) / 128.0
-        elif bits == 16:
-            vals = samples("<i2").astype(np.float64) / 32768.0
-        elif bits == 24:
-            raw = np.frombuffer(data, dtype=np.uint8)
-            raw = raw[: (raw.size // 3) * 3].reshape(-1, 3).astype(np.int64)
-            vals = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-            vals = vals - ((vals & 0x800000) << 1)
-            vals = vals.astype(np.float64) / float(1 << 23)
-        elif bits == 32:
-            vals = samples("<i4").astype(np.float64) / float(1 << 31)
-        else:
-            raise UnsupportedEncodingError(f"{bits}-bit integer samples")
+            raise UnsupportedEncodingError(f"{8 * width}-bit float samples")
+    elif width == 1:
+        vals = (samples("u1").astype(np.float64) - 128.0) / 128.0
+    elif width == 2:
+        vals = samples("<i2").astype(np.float64) / 32768.0
+    elif width == 3:
+        words = np.zeros((len(data) // 3, 4), dtype=np.uint8)
+        words[:, 1:] = np.frombuffer(data, np.uint8, len(words) * 3).reshape(-1, 3)
+        vals = words.view("<i4")[:, 0] / float(1 << 31)
+    elif width == 4:
+        vals = samples("<i4").astype(np.float64) / float(1 << 31)
     else:
-        raise UnsupportedEncodingError(f"audio format tag {fmt}")
+        raise UnsupportedEncodingError(f"{8 * width}-bit integer samples")
     if channels > 1:
         vals = vals[: (vals.size // channels) * channels]
         vals = vals.reshape(-1, channels).mean(axis=1)
@@ -173,21 +179,35 @@ def load_wav(path: str | Path) -> Signal:
     """Read an uncompressed RIFF/WAVE file and downmix to mono.
 
     Supports 8/16/24/32-bit integer PCM and 32/64-bit float payloads,
-    with a plain format tag or as WAVE_FORMAT_EXTENSIBLE. A partial
-    trailing sample or frame is dropped.
+    with a plain format tag or as WAVE_FORMAT_EXTENSIBLE. The sample
+    width is the container's, ``block_align / channels``, and fewer valid
+    bits in it (12 in 16, 20 in 24) load too. A partial trailing sample
+    or frame is dropped.
     Multi-channel audio is averaged across channels. Integer samples are
-    scaled by the type's magnitude so values land in [-1, 1).
+    scaled by the container's magnitude so values land in [-1, 1).
+
+    A ``data`` chunk is read to the end of the file when its size is
+    ``0xFFFFFFFF`` or runs past the end, or when it is 0 and so is the
+    RIFF size (or that is ``0xFFFFFFFF``): the sizes a streaming writer
+    leaves. Any other chunk that runs past the end is MalformedHeaderError.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 12 or blob[0:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise MalformedHeaderError(f"{path}: not a RIFF/WAVE file")
 
+    (riff_size,) = struct.unpack_from("<I", blob, 4)
     fmt_chunk: bytes | None = None
     data_chunk: bytes | None = None
     pos = 12
     while pos + 8 <= len(blob):
         cid = blob[pos : pos + 4]
         (size,) = struct.unpack_from("<I", blob, pos + 4)
+        if cid == b"data" and (
+            size == 0xFFFFFFFF
+            or pos + 8 + size > len(blob)
+            or (size == 0 and riff_size in (0, 0xFFFFFFFF))
+        ):
+            size = len(blob) - pos - 8
         body = blob[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise MalformedHeaderError(f"{path}: truncated {cid!r} chunk")
@@ -202,13 +222,14 @@ def load_wav(path: str | Path) -> Signal:
     if data_chunk is None:
         raise MalformedHeaderError(f"{path}: missing data chunk")
 
-    _, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt_chunk, 0)
+    _, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt_chunk, 0)
     if channels < 1:
         raise MalformedHeaderError(f"{path}: zero channels")
     if rate <= 0:
         raise MalformedHeaderError(f"{path}: nonpositive sample rate")
 
-    vals = _decode_pcm(data_chunk, bits, _format_tag(fmt_chunk, path), channels)
+    fmt = _format_tag(fmt_chunk, path)
+    vals = _decode_pcm(data_chunk, bits, block_align // channels, fmt, channels)
     if vals.size == 0:
         raise EmptyAudioError(f"{path}: no audio frames")
     if vals.size < 2:
@@ -241,16 +262,17 @@ def _read_table(
 
     Blank lines are skipped, and a ``#`` line is passed, stripped and with
     its line number, to ``on_comment``. Every other line is a data line:
-    fields that ``float`` parses, as many on every line (exactly one
-    with ``one_column``). Returns a float64 array of shape (rows, fields),
-    or (0, 0) without a data line.
+    fields that ``float`` parses to a finite number, as many on every
+    line (exactly one with ``one_column``). Returns a float64 array of
+    shape (rows, fields), or (0, 0) without a data line.
 
     The ``#`` and blank lines before the first data line are handled
     here; the rest go to numpy's C parser in one call. It parses every
     number it accepts to the same float as ``float``, and it rejects the
     rest of what ``float`` accepts (``1_0``, non-ASCII digits) as well as
-    later ``#`` and whitespace-only lines. A file it rejects, or whose
-    shape it reads differently, is read again one line at a time, and
+    later ``#`` and whitespace-only lines. A file it rejects, whose
+    shape it reads differently or that holds a non-finite number
+    (``nan``, ``inf``, ``1e5000``) is read again one line at a time, and
     that loop gives the value or raises ``MalformedHeaderError`` naming
     the first bad line as ``{path}:{lineno}: {label}: {line!r}``, or the
     file when lines differ in field count.
@@ -270,7 +292,7 @@ def _read_table(
         table = np.loadtxt(
             lines[start:], delimiter=",", comments=None, dtype=np.float64, ndmin=2
         )
-        if not one_column or table.shape[1] == 1:
+        if (not one_column or table.shape[1] == 1) and np.isfinite(table).all():
             return table
     except ValueError:
         pass
@@ -284,9 +306,12 @@ def _read_table(
                 on_comment(lineno, line)
             continue
         try:
-            rows.append([float(tok) for tok in ([line] if one_column else line.split(","))])
+            row = [float(tok) for tok in ([line] if one_column else line.split(","))]
+            if not all(map(math.isfinite, row)):
+                raise ValueError("not finite")
         except ValueError as exc:
             raise MalformedHeaderError(f"{path}:{lineno}: {label}: {line!r}") from exc
+        rows.append(row)
     if not rows:
         return np.empty((0, 0))
     if any(len(r) != len(rows[0]) for r in rows):
@@ -300,10 +325,11 @@ def load_csv(path: str | Path) -> Signal:
     A ``# sample_rate=<hz>`` comment sets the rate, the last one if there
     are several; without it the rate defaults to 1 Hz. Other ``#`` lines
     and blank lines are skipped. Samples are parsed as ``float`` parses
-    them. A file whose only comments and blank lines come before the
-    first sample, and whose samples are plain ASCII numbers, is parsed
-    by numpy's C parser; any other file is read one line at a time (see
-    ``_read_table``), with the same values and errors.
+    them, and a non-finite one is ``MalformedHeaderError`` naming its
+    line. A file whose only comments and blank lines come before the
+    first sample, and whose samples are plain finite ASCII numbers, is
+    parsed by numpy's C parser; any other file is read one line at a
+    time (see ``_read_table``), with the same values and errors.
     """
     rate = 1.0
 

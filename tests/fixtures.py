@@ -7,6 +7,7 @@ fixtures are bit-identical on every platform and numpy version.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -124,3 +125,24 @@ def reference_signal() -> Signal:
     rng = SplitMix64(11)
     noise = np.asarray([_unit(rng) - 0.5 for _ in range(t.size)])
     return Signal(np.sin(2 * np.pi * 40.37 * t) + 0.01 * noise, 4000.0)
+
+
+def wav_bytes(
+    fmt: int, channels: int, rate: int, bits: int, frames: bytes,
+    block: int | None = None, data_size: int | None = None, riff_size: int | None = None,
+) -> bytes:
+    """Assemble a minimal RIFF/WAVE blob around raw frame bytes.
+
+    ``block`` (block_align), ``data_size`` and ``riff_size`` default to the
+    values a finished file with ``bits``-bit containers holds.
+    """
+    block = channels * bits // 8 if block is None else block
+    byte_rate = rate * block
+    fmt_chunk = struct.pack("<HHIIHH", fmt, channels, rate, byte_rate, block, bits)
+    body = b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
+    size = len(frames) if data_size is None else data_size
+    body += b"data" + struct.pack("<I", size) + frames
+    if len(frames) % 2:
+        body += b"\x00"
+    riff = 4 + len(body) if riff_size is None else riff_size
+    return b"RIFF" + struct.pack("<I", riff) + b"WAVE" + body

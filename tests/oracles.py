@@ -625,9 +625,12 @@ def load_csv_loop(path) -> Signal:
                     raise MalformedHeaderError(f"{path}:{lineno}: bad sample rate") from exc
             continue
         try:
-            samples.append(float(line))
+            value = float(line)
+            if not math.isfinite(value):
+                raise ValueError("not finite")
         except ValueError as exc:
             raise MalformedHeaderError(f"{path}:{lineno}: not a number: {line!r}") from exc
+        samples.append(value)
     if len(samples) < 2:
         raise EmptyAudioError(f"{path}: fewer than two samples")
     return Signal(np.asarray(samples, dtype=np.float64), rate)
@@ -641,12 +644,26 @@ def read_cloud_csv_loop(path) -> PointCloud:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append([float(tok) for tok in line.split(",")])
+            row = [float(tok) for tok in line.split(",")]
+            if not all(map(math.isfinite, row)):
+                raise ValueError("not finite")
         except ValueError as exc:
             raise MalformedHeaderError(f"{path}:{lineno}: bad point: {line!r}") from exc
+        rows.append(row)
     if not rows:
         return PointCloud(np.empty((0, 2)))
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise MalformedHeaderError(f"{path}: inconsistent coordinate counts")
     return PointCloud(np.asarray(rows, dtype=np.float64))
+
+
+def pcm24_assembly(data: bytes) -> np.ndarray:
+    """24-bit PCM bytes as ``load_wav`` once decoded them: int64 byte
+    assembly and manual sign extension, scaled by 2^23. A partial
+    trailing sample is dropped."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    raw = raw[: (raw.size // 3) * 3].reshape(-1, 3).astype(np.int64)
+    vals = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
+    vals = vals - ((vals & 0x800000) << 1)
+    return vals.astype(np.float64) / float(1 << 23)

@@ -49,7 +49,7 @@ from topoperiod.cli import run
 from topoperiod.embedding import cloud_csv_text
 from topoperiod.signal_io import signal_csv_text
 
-from fixtures import noise_signal, wheeze_model
+from fixtures import noise_signal, wav_bytes, wheeze_model
 
 
 @pytest.fixture
@@ -167,6 +167,20 @@ class TestEmbedCommand:
         assert out == signal_csv_text(
             Signal(expected.values, expected.sample_rate_hz)
         )
+
+    def test_valid_bits_below_the_container_embed_as_the_container(self, cli, tmp_path):
+        # 12-bit samples in 16-bit containers: the same frames as a 16-bit
+        # file whose low four bits are zero, so the same cloud.
+        ints = np.round(2000.0 * np.sin(2 * np.pi * np.arange(400) / 40.0)).astype("<i2")
+        frames = (ints * 16).astype("<i2").tobytes()
+        outs = []
+        for bits in (12, 16):
+            path = tmp_path / f"tone{bits}.wav"
+            path.write_bytes(wav_bytes(1, 1, 4000, bits, frames, block=2))
+            code, out, err = cli("embed", path, "--delay", "10")
+            assert code == 0 and err == ""
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_malformed_wav_reports_header_kind(self, cli, tmp_path):
         path = tmp_path / "broken.wav"
@@ -733,6 +747,23 @@ class TestExitCodesAndErrors:
         code, _, err = cli("persist", path)
         assert code == 1
         assert error_kind(err) == "MalformedHeader"
+
+    def test_non_finite_csv_sample_names_its_line(self, cli, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("0.5\nnan\n-0.5\n")
+        code, out, err = cli("detect", path)
+        assert code == 1 and out == ""
+        assert error_kind(err) == "MalformedHeader"
+        assert json.loads(err)["message"] == f"{path}:2: not a number: 'nan'"
+
+    @pytest.mark.parametrize("block", [0, 1, 6])
+    def test_bad_wav_block_align_is_one_error_line(self, cli, tmp_path, block):
+        path = tmp_path / "block.wav"
+        frames = np.arange(64, dtype="<i2").tobytes()
+        path.write_bytes(wav_bytes(1, 1, 4000, 16, frames, block=block))
+        code, out, err = cli("detect", path)
+        assert code == 1 and out == ""
+        assert error_kind(err) == "UnsupportedEncoding"
 
     def test_corrupt_json_model_is_invalid(self, cli, tmp_path):
         path = tmp_path / "model.json"

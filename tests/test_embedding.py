@@ -1,6 +1,7 @@
 """Lag-correlation curve, delay selection, delay embeddings, cloud CSV."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,45 @@ class TestDelayEmbed:
             delay_embed(s, 0, 2)
         with pytest.raises(ValueError):
             delay_embed(s, 1, 1)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_points_are_a_view_of_the_samples(self, dim):
+        s = _sine(40, 5)
+        cloud = delay_embed(s, 7, dim)
+        assert np.shares_memory(cloud.points, s.samples)
+        assert not cloud.points.flags.writeable
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60),
+        st.integers(1, 20),
+        st.integers(2, 5),
+    )
+    def test_rows_equal_the_column_stack(self, values, delay, dim):
+        s = Signal(np.array(values), 1.0)
+        count = len(values) - (dim - 1) * delay
+        if count < 1:
+            with pytest.raises(SignalTooShortError):
+                delay_embed(s, delay, dim)
+            return
+        x = s.samples
+        cols = [x[d * delay : d * delay + count] for d in range(dim)]
+        got = delay_embed(s, delay, dim).points
+        assert got.shape == (count, dim)
+        assert np.ascontiguousarray(got).tobytes() == np.column_stack(cols).tobytes()
+
+    def test_embedding_a_long_signal_copies_no_samples(self):
+        s = Signal(np.sin(0.01 * np.arange(1_000_000)), 44100.0)
+        tracemalloc.start()
+        try:
+            cloud = delay_embed(s, 25, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cloud) == 999_975
+        # What is left is the constructor's finiteness check, 1 byte a
+        # coordinate; a copy of the cloud would be 16 MB.
+        assert peak < 4_000_000
 
     def test_quarter_period_delay_gives_circle(self):
         amp = 2.0

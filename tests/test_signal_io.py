@@ -1,6 +1,7 @@
 """Signal container, WAV decoding, CSV round trips, normalize, window."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,19 +23,8 @@ from topoperiod import (
 )
 from topoperiod.subsampling import SplitMix64
 
-from oracles import load_csv_loop, read_cloud_csv_loop
-
-
-def _wav_bytes(fmt: int, channels: int, rate: int, bits: int, frames: bytes) -> bytes:
-    """Assemble a minimal RIFF/WAVE blob around raw frame bytes."""
-    byte_rate = rate * channels * bits // 8
-    block = channels * bits // 8
-    fmt_chunk = struct.pack("<HHIIHH", fmt, channels, rate, byte_rate, block, bits)
-    body = b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
-    body += b"data" + struct.pack("<I", len(frames)) + frames
-    if len(frames) % 2:
-        body += b"\x00"
-    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+from fixtures import wav_bytes
+from oracles import load_csv_loop, pcm24_assembly, read_cloud_csv_loop
 
 
 _PCM_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
@@ -91,7 +81,7 @@ class TestLoadWav:
     def test_16bit_mono_scaling(self, tmp_path):
         frames = struct.pack("<4h", 0, 16384, -16384, 32767)
         p = tmp_path / "mono16.wav"
-        p.write_bytes(_wav_bytes(1, 1, 44100, 16, frames))
+        p.write_bytes(wav_bytes(1, 1, 44100, 16, frames))
         s = load_wav(p)
         assert s.sample_rate_hz == 44100.0
         assert np.array_equal(s.samples, [0.0, 0.5, -0.5, 32767 / 32768])
@@ -99,14 +89,14 @@ class TestLoadWav:
     def test_stereo_float_downmix(self, tmp_path):
         frames = struct.pack("<4f", 1.0, 0.0, 0.0, 1.0)  # L=[1,0], R=[0,1]
         p = tmp_path / "stereo_f32.wav"
-        p.write_bytes(_wav_bytes(3, 2, 8000, 32, frames))
+        p.write_bytes(wav_bytes(3, 2, 8000, 32, frames))
         s = load_wav(p)
         assert np.array_equal(s.samples, [0.5, 0.5])
 
     def test_8bit_unsigned_scaling(self, tmp_path):
         frames = bytes([0, 128, 192, 255])
         p = tmp_path / "mono8.wav"
-        p.write_bytes(_wav_bytes(1, 1, 1000, 8, frames))
+        p.write_bytes(wav_bytes(1, 1, 1000, 8, frames))
         s = load_wav(p)
         assert np.array_equal(s.samples, [-1.0, 0.0, 0.5, 127 / 128])
 
@@ -116,14 +106,14 @@ class TestLoadWav:
 
         frames = enc(0) + enc(1 << 22) + enc(-(1 << 22)) + enc(-(1 << 23))
         p = tmp_path / "mono24.wav"
-        p.write_bytes(_wav_bytes(1, 1, 1000, 24, frames))
+        p.write_bytes(wav_bytes(1, 1, 1000, 24, frames))
         s = load_wav(p)
         assert np.array_equal(s.samples, [0.0, 0.5, -0.5, -1.0])
 
     def test_32bit_integer_scaling(self, tmp_path):
         frames = struct.pack("<2i", 1 << 30, -(1 << 31))
         p = tmp_path / "mono32.wav"
-        p.write_bytes(_wav_bytes(1, 1, 1000, 32, frames))
+        p.write_bytes(wav_bytes(1, 1, 1000, 32, frames))
         s = load_wav(p)
         assert np.array_equal(s.samples, [0.5, -1.0])
 
@@ -132,10 +122,10 @@ class TestLoadWav:
         # tag 3, 64 bits per sample.
         frames = struct.pack("<4d", 0.25, -0.5, 1e-300, 1.5)
         p = tmp_path / "mono_f64.wav"
-        p.write_bytes(_wav_bytes(3, 1, 8000, 64, frames))
+        p.write_bytes(wav_bytes(3, 1, 8000, 64, frames))
         s = load_wav(p)
         assert s.samples.tobytes() == np.array([0.25, -0.5, 1e-300, 1.5]).tobytes()
-        p.write_bytes(_wav_bytes(3, 2, 8000, 64, frames))
+        p.write_bytes(wav_bytes(3, 2, 8000, 64, frames))
         assert np.array_equal(load_wav(p).samples, [-0.125, 0.75])
 
     @pytest.mark.parametrize(
@@ -147,16 +137,16 @@ class TestLoadWav:
         values = [1, 2, 3]
         frames = struct.pack(f"<3{code}", *values)
         p = tmp_path / "whole.wav"
-        p.write_bytes(_wav_bytes(fmt, 1, 1000, bits, frames))
+        p.write_bytes(wav_bytes(fmt, 1, 1000, bits, frames))
         whole = load_wav(p).samples
         for stray in range(1, width):
-            p.write_bytes(_wav_bytes(fmt, 1, 1000, bits, frames + b"\x7f" * stray))
+            p.write_bytes(wav_bytes(fmt, 1, 1000, bits, frames + b"\x7f" * stray))
             assert np.array_equal(load_wav(p).samples, whole)
 
     def test_three_channel_average(self, tmp_path):
         frames = struct.pack("<6h", 3000, 0, -3000, 300, 600, 900)
         p = tmp_path / "tri.wav"
-        p.write_bytes(_wav_bytes(1, 3, 1000, 16, frames))
+        p.write_bytes(wav_bytes(1, 3, 1000, 16, frames))
         s = load_wav(p)
         assert np.allclose(s.samples, [0.0, 600 / 32768])
 
@@ -166,11 +156,71 @@ class TestLoadWav:
         with pytest.raises(MalformedHeaderError):
             load_wav(p)
 
-    def test_truncated_data_chunk(self, tmp_path):
-        blob = _wav_bytes(1, 1, 1000, 16, struct.pack("<4h", 1, 2, 3, 4))
+    def test_data_chunk_past_end_of_file_is_read_to_the_end(self, tmp_path):
+        # A cut file keeps the samples it still holds, as a streaming
+        # writer's file whose data size was never written back does.
+        blob = wav_bytes(1, 1, 1000, 16, struct.pack("<4h", 1, 2, 3, 4))
         p = tmp_path / "cut.wav"
+        p.write_bytes(blob[:-3])
+        assert np.array_equal(load_wav(p).samples, np.array([1, 2]) / 32768)
         p.write_bytes(blob[:-5])
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(EmptyAudioError):
+            load_wav(p)
+
+    def test_data_size_all_ones_is_read_to_the_end(self, tmp_path):
+        frames = struct.pack("<3h", 5, -6, 7)
+        p = tmp_path / "streamed.wav"
+        p.write_bytes(wav_bytes(1, 1, 1000, 16, frames, data_size=0xFFFFFFFF))
+        assert np.array_equal(load_wav(p).samples, np.array([5, -6, 7]) / 32768)
+
+    @pytest.mark.parametrize("riff_size", [0, 0xFFFFFFFF])
+    def test_zero_data_size_with_unset_riff_size_is_read_to_the_end(self, tmp_path, riff_size):
+        frames = struct.pack("<3h", 5, -6, 7)
+        p = tmp_path / "streamed.wav"
+        p.write_bytes(wav_bytes(1, 1, 1000, 16, frames, data_size=0, riff_size=riff_size))
+        assert np.array_equal(load_wav(p).samples, np.array([5, -6, 7]) / 32768)
+
+    def test_zero_data_size_with_set_riff_size_stays_malformed(self, tmp_path):
+        # The frames after the empty data chunk read as a chunk whose size
+        # runs past the end of the file.
+        frames = b"junk" + struct.pack("<I", 1000) + b"\x00" * 4
+        p = tmp_path / "zero.wav"
+        p.write_bytes(wav_bytes(1, 1, 1000, 16, frames, data_size=0))
+        with pytest.raises(MalformedHeaderError, match="truncated b'junk' chunk"):
+            load_wav(p)
+
+    def test_other_chunk_past_end_of_file_stays_malformed(self, tmp_path):
+        blob = wav_bytes(1, 1, 1000, 16, struct.pack("<4h", 1, 2, 3, 4))
+        p = tmp_path / "list.wav"
+        p.write_bytes(blob + b"LIST" + struct.pack("<I", 64) + b"INFO")
+        with pytest.raises(MalformedHeaderError, match="truncated b'LIST' chunk"):
+            load_wav(p)
+
+    @pytest.mark.parametrize(
+        "bits, width, values",
+        [(12, 2, [-2048, 0, 2047, 1]), (20, 3, [-(1 << 19), 0, (1 << 19) - 1, 1])],
+    )
+    def test_fewer_valid_bits_than_the_container(self, tmp_path, bits, width, values):
+        # Valid bits sit at the top of the container, the rest are zero.
+        shift = 8 * width - bits
+        frames = b"".join(
+            ((v << shift) & ((1 << 8 * width) - 1)).to_bytes(width, "little") for v in values
+        )
+        p = tmp_path / "valid.wav"
+        p.write_bytes(wav_bytes(1, 1, 1000, bits, frames, block=width))
+        expected = np.array(values, dtype=np.float64) / (1 << (bits - 1))
+        assert np.array_equal(load_wav(p).samples, expected)
+        p.write_bytes(wav_bytes(1, 1, 1000, 8 * width, frames))
+        assert np.array_equal(load_wav(p).samples, expected)
+
+    @pytest.mark.parametrize(
+        "channels, bits, block",
+        [(1, 16, 0), (2, 16, 1), (1, 16, 1), (1, 0, 2), (1, 40, 5), (2, 16, 12), (1, 65, 8)],
+    )
+    def test_bad_block_align_is_rejected(self, tmp_path, channels, bits, block):
+        p = tmp_path / "block.wav"
+        p.write_bytes(wav_bytes(1, channels, 1000, bits, b"\x01" * 24, block=block))
+        with pytest.raises(UnsupportedEncodingError):
             load_wav(p)
 
     def test_missing_data_chunk(self, tmp_path):
@@ -184,27 +234,57 @@ class TestLoadWav:
     def test_compressed_format_tag_rejected(self, tmp_path):
         frames = struct.pack("<2h", 0, 1)
         p = tmp_path / "adpcm.wav"
-        p.write_bytes(_wav_bytes(2, 1, 1000, 16, frames))
+        p.write_bytes(wav_bytes(2, 1, 1000, 16, frames))
         with pytest.raises(UnsupportedEncodingError):
             load_wav(p)
 
     def test_odd_bit_depth_rejected(self, tmp_path):
         p = tmp_path / "weird.wav"
-        p.write_bytes(_wav_bytes(1, 1, 1000, 12, b"\x00" * 6))
+        p.write_bytes(wav_bytes(1, 1, 1000, 12, b"\x00" * 6))
         with pytest.raises(UnsupportedEncodingError):
             load_wav(p)
 
     def test_empty_data_chunk(self, tmp_path):
         p = tmp_path / "empty.wav"
-        p.write_bytes(_wav_bytes(1, 1, 1000, 16, b""))
+        p.write_bytes(wav_bytes(1, 1, 1000, 16, b""))
         with pytest.raises(EmptyAudioError):
             load_wav(p)
 
     def test_single_sample_rejected(self, tmp_path):
         p = tmp_path / "one.wav"
-        p.write_bytes(_wav_bytes(1, 1, 1000, 16, struct.pack("<h", 7)))
+        p.write_bytes(wav_bytes(1, 1, 1000, 16, struct.pack("<h", 7)))
         with pytest.raises(EmptyAudioError):
             load_wav(p)
+
+
+class TestDecode24Bit:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.binary(min_size=6, max_size=120), st.sampled_from([1, 1, 2]))
+    def test_equals_the_byte_assembly(self, tmp_path_factory, frames, channels):
+        # Random lengths leave 0-2 stray bytes after the last whole sample.
+        p = tmp_path_factory.mktemp("wav") / "in24.wav"
+        p.write_bytes(wav_bytes(1, channels, 1000, 24, frames))
+        vals = pcm24_assembly(frames)
+        vals = vals[: vals.size // channels * channels].reshape(-1, channels).mean(axis=1)
+        if vals.size < 2:
+            with pytest.raises(EmptyAudioError):
+                load_wav(p)
+        else:
+            assert load_wav(p).samples.tobytes() == vals.tobytes()
+
+    def test_load_holds_under_24_bytes_per_sample(self, tmp_path):
+        count = 300_000
+        frames = (np.arange(3 * count) * 37 % 256).astype(np.uint8).tobytes()
+        p = tmp_path / "long24.wav"
+        p.write_bytes(wav_bytes(1, 1, 44100, 24, frames))
+        tracemalloc.start()
+        try:
+            samples = load_wav(p).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.size == count
+        assert peak / count < 24
 
 
 class TestLoadWavExtensible:
@@ -244,7 +324,7 @@ class TestLoadWavExtensible:
 
     def test_missing_extension_rejected(self, tmp_path):
         p = tmp_path / "short.wav"
-        p.write_bytes(_wav_bytes(0xFFFE, 1, 1000, 16, struct.pack("<2h", 0, 1)))
+        p.write_bytes(wav_bytes(0xFFFE, 1, 1000, 16, struct.pack("<2h", 0, 1)))
         with pytest.raises(MalformedHeaderError):
             load_wav(p)
 
@@ -353,6 +433,18 @@ class TestCsvRoundTrip:
         p.write_text("1.0\n")
         with pytest.raises(EmptyAudioError):
             load_csv(p)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "Infinity", "1e5000"])
+    def test_non_finite_sample_names_its_line(self, tmp_path, value):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"# sample_rate=8000\n1.0\n{value}\n2.0\n")
+        with pytest.raises(MalformedHeaderError) as info:
+            load_csv(p)
+        assert str(info.value) == f"{p}:3: not a number: {value!r}"
+        p.write_text(f"0.5,1.0\n\n1.0,{value}\n")
+        with pytest.raises(MalformedHeaderError) as info:
+            read_cloud_csv(p)
+        assert str(info.value) == f"{p}:3: bad point: '1.0,{value}'"
 
 
 _REPR_FIELDS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
