@@ -16,7 +16,6 @@ from .detector import (
     significance,
 )
 from .embedding import (
-    AclCurve,
     PointCloud,
     acl,
     critical_points,
@@ -71,7 +70,6 @@ from .subsampling import SplitMix64, maxmin, random_subsample
 __version__ = "0.1.0"
 
 __all__ = [
-    "AclCurve",
     "BettiCurve",
     "DetectionReport",
     "DimensionMismatchError",

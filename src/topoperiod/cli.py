@@ -170,8 +170,7 @@ def _resolve(
 
 def _cmd_acl(args: argparse.Namespace, cfg: dict) -> int:
     s = _load_signal(args.input, args.window)
-    curve = acl(s, form="literal" if args.literal else "lag")
-    _emit(signal_csv_text(Signal(curve.values, curve.sample_rate_hz)), args.out)
+    _emit(signal_csv_text(acl(s, form="literal" if args.literal else "lag")), args.out)
     return 0
 
 

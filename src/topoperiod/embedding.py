@@ -8,6 +8,7 @@ points into an open loop instead of collapsing them onto a line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,16 +33,28 @@ def pairwise(p: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
     (``np.linalg.norm``, ``np.sum``) sums 8 or more terms pairwise and
     rounds differently.
     One accumulator and one temporary of shape (len(p), len(q)) are live.
+
+    A distance whose square overflows float64 (coordinates about 1e154
+    apart) is ``inf``, without a warning: the callers raise only where
+    such a distance enters their answer, through ``_finite_distance``.
     """
     q = p if q is None else q
-    acc = np.subtract.outer(p[:, 0], q[:, 0])
-    acc *= acc
-    tmp = np.empty_like(acc)
-    for k in range(1, p.shape[1]):
-        np.subtract.outer(p[:, k], q[:, k], out=tmp)
-        tmp *= tmp
-        acc += tmp
+    with np.errstate(over="ignore"):
+        acc = np.subtract.outer(p[:, 0], q[:, 0])
+        acc *= acc
+        tmp = np.empty_like(acc)
+        for k in range(1, p.shape[1]):
+            np.subtract.outer(p[:, k], q[:, k], out=tmp)
+            tmp *= tmp
+            acc += tmp
     return np.sqrt(acc, out=acc)
+
+
+def _finite_distance(d: float) -> float:
+    """d, a distance between finite points, unless it overflowed to ``inf``."""
+    if math.isinf(d):
+        raise ValueError("distance overflow: points about 1e154 or more apart")
+    return d
 
 
 @dataclass(frozen=True)
@@ -74,53 +87,35 @@ class PointCloud:
         return int(self.points.shape[1])
 
     def diameter(self) -> float:
-        """Largest pairwise Euclidean distance, 0 for fewer than 2 points."""
+        """Largest pairwise Euclidean distance, 0 for fewer than 2 points.
+
+        Raises ValueError when that distance overflows float64.
+        """
         if len(self) < 2:
             return 0.0
-        return float(pairwise(self.points).max())
+        return _finite_distance(float(pairwise(self.points).max()))
 
 
-@dataclass(frozen=True)
-class AclCurve:
-    """Autocorrelation-like curve of a signal, indexed by integer lag.
-
-    ``values[j]`` holds the lag-j correlation sum; the curve has exactly
-    one value per signal sample, so lag indices map one-to-one onto the
-    sampling grid.
-    """
-
-    values: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("curve needs at least two values")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def acl(s: Signal, form: str = "lag") -> AclCurve:
-    """Correlation curve used for delay selection.
+def acl(s: Signal, form: str = "lag") -> Signal:
+    """Correlation curve used for delay selection, as a signal on s's grid.
 
     Parameters
     ----------
     s : Signal
         Input signal of length k.
     form : str
-        ``"lag"`` (default) computes the lag correlation
-        ``values[j] = sum_{l=1..k-j} x_l * x_{l+j}``, evaluated by direct
-        summation. ``"literal"`` computes the degenerate unlagged form
-        ``values[i] = x_i * sum_l x_l``, kept only for auditing; its shape
-        mirrors the signal itself and carries no lag information.
+        ``"lag"`` (default) computes the lag correlation: sample j holds
+        ``sum_{l=1..k-j} x_l * x_{l+j}``, evaluated by direct summation.
+        ``"literal"`` computes the degenerate unlagged form: sample i holds
+        ``x_i * sum_l x_l``, kept only for auditing; its shape mirrors the
+        signal itself and carries no lag information.
 
     Returns
     -------
-    AclCurve
-        Curve with one value per input sample.
+    Signal
+        One sample per lag, at ``s``'s sample rate. A sum that overflows
+        float64 fails the ``Signal`` check: ``ValueError("samples must be
+        finite")``.
 
     Notes
     -----
@@ -140,7 +135,7 @@ def acl(s: Signal, form: str = "lag") -> AclCurve:
         vals = x * float(np.sum(x))
     else:
         raise ValueError(f"unknown ACL form: {form!r}")
-    return AclCurve(vals, s.sample_rate_hz)
+    return Signal(vals, s.sample_rate_hz)
 
 
 def _sign_changes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,14 +171,14 @@ def _critical_lags(v: np.ndarray) -> np.ndarray:
     return np.rint((a + 1 + b) / 2).astype(np.int64)
 
 
-def critical_points(curve: AclCurve) -> list[int]:
-    """Lags where the discrete derivative of the curve changes sign.
+def critical_points(curve: Signal) -> list[int]:
+    """Lags where the discrete derivative of an ``acl`` curve changes sign.
 
     Runs of zero derivative are treated as a single flat extremum whose
     midpoint lag is reported. Raises NoCriticalPointsError for monotone
     curves.
     """
-    crit = _critical_lags(curve.values).tolist()
+    crit = _critical_lags(curve.samples).tolist()
     if not crit:
         raise NoCriticalPointsError("curve is monotone, no critical points")
     return crit
@@ -231,8 +226,8 @@ def _check_strategy(strategy: str) -> None:
         raise ValueError(f"unknown delay strategy: {strategy!r}")
 
 
-def select_delay(curve: AclCurve, strategy: str = "first-zero") -> int:
-    """Pick an embedding delay, in samples, from a correlation curve.
+def select_delay(curve: Signal, strategy: str = "first-zero") -> int:
+    """Pick an embedding delay, in samples, from an ``acl`` curve.
 
     Strategies
     ----------
@@ -243,8 +238,9 @@ def select_delay(curve: AclCurve, strategy: str = "first-zero") -> int:
     ``"mid-critical"``
         Rounded midpoint of the first two critical-point lags.
 
-    Raises NoZeroCrossingError or NoCriticalPointsError when the curve
-    does not supply the feature the strategy needs.
+    ``curve`` is an ``acl`` curve: sample j holds lag j, and its rate is
+    not read. Raises NoZeroCrossingError or NoCriticalPointsError when the
+    curve does not supply the feature the strategy needs.
 
     This scans a full curve from ``acl``. ``detect`` and ``embed --delay
     auto`` use ``find_delay`` instead, which gives the same delay, or the
@@ -253,7 +249,7 @@ def select_delay(curve: AclCurve, strategy: str = "first-zero") -> int:
     zero crossing and with it the delay.
     """
     _check_strategy(strategy)
-    return _delay_from(_feature_lags(curve.values, strategy), strategy, len(curve))
+    return _delay_from(_feature_lags(curve.samples, strategy), strategy, len(curve))
 
 
 def find_delay(s: Signal, strategy: str = "first-zero") -> int:
@@ -270,22 +266,29 @@ def find_delay(s: Signal, strategy: str = "first-zero") -> int:
     1-2 us of call overhead per lag above what ``np.correlate`` takes,
     so on a featureless curve of a few thousand samples or fewer this is
     several times slower than ``acl``. The errors, messages included,
-    are those of ``select_delay``, because the last prefix is the full
-    curve.
+    are those of ``select_delay(acl(s))``, because the last prefix is
+    the full curve. That holds for overflow too: lag 0 is the largest
+    sum, ``sum x_l^2``, so when any sum overflows it does, and the scan
+    raises the ``ValueError("samples must be finite")`` that ``acl``'s
+    ``Signal`` check raises.
     """
     _check_strategy(strategy)
     x = s.samples
     k = x.size
     vals = np.empty(k)
     m = 0
-    while True:
-        stop = min(2 * m + 1, k)
-        for j in range(m, stop):
-            vals[j] = np.dot(x[: k - j], x[j:])
-        m = stop
-        lags = _feature_lags(vals[:m], strategy)
-        if m == k or len(lags) >= _FEATURES_NEEDED[strategy]:
-            return _delay_from(lags, strategy, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            stop = min(2 * m + 1, k)
+            for j in range(m, stop):
+                vals[j] = np.dot(x[: k - j], x[j:])
+            m = stop
+            lags = _feature_lags(vals[:m], strategy)
+            if m == k or len(lags) >= _FEATURES_NEEDED[strategy]:
+                break
+    if not np.isfinite(vals[:m]).all():
+        raise ValueError("samples must be finite")
+    return _delay_from(lags, strategy, k)
 
 
 def delay_embed(s: Signal, delay: int, dim: int = 2) -> PointCloud:

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .embedding import PointCloud, pairwise
+from .embedding import PointCloud, _finite_distance, pairwise
 from .errors import DimensionMismatchError, EmptyCloudError
 from .persistence import PersistenceDiagram
 
@@ -46,7 +46,10 @@ def hausdorff(a: PointCloud, b: PointCloud) -> float:
     more dimensions they disagree in the last bit on about a fifth of
     random cloud pairs. The bytes ``topoperiod dist hausdorff`` prints
     for such clouds therefore depend on which side of the size fork the
-    pair falls.
+    pair falls. On both sides a result that overflows float64 raises
+    ValueError; overflowed distances that the result does not read, such
+    as those between far-apart points of ``c`` in ``hausdorff(c, c)``, do
+    not.
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptyCloudError("Hausdorff distance needs two nonempty clouds")
@@ -60,9 +63,9 @@ def hausdorff(a: PointCloud, b: PointCloud) -> float:
         tree = {"balanced_tree": False, "compact_nodes": False}
         d_ab = cKDTree(b.points, **tree).query(a.points)[0].max()
         d_ba = cKDTree(a.points, **tree).query(b.points)[0].max()
-        return float(max(d_ab, d_ba))
+        return _finite_distance(float(max(d_ab, d_ba)))
     d = pairwise(a.points, b.points)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return _finite_distance(float(max(d.min(axis=1).max(), d.min(axis=0).max())))
 
 
 def _interval_arrays(diagram: PersistenceDiagram, dim: int) -> tuple[np.ndarray, np.ndarray]:

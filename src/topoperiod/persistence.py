@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import PointCloud, pairwise
+from .embedding import PointCloud, _finite_distance, pairwise
 from .errors import EmptyCloudError
 
 
@@ -75,7 +75,9 @@ def _sorted_edges(
     included. "auto" (or None) as ``max_eps`` truncates nothing. With
     ``enclosing`` the cutoff is at most the enclosing radius
     ``min_i max_j d(i, j)``, past which only zero-length bars are born
-    (see ``h1_diagram``).
+    (see ``h1_diagram``). Raises ValueError when a kept edge's length
+    overflows float64; a cutoff that drops every such edge keeps the
+    diagram.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("cannot compute persistence of an empty cloud")
@@ -94,6 +96,8 @@ def _sorted_edges(
     ev = dist[iu, ju]
     order = np.argsort(ev, kind="stable")
     iu, ju, ev = iu[order], ju[order], ev[order]
+    if ev.size:  # the longest kept edge
+        _finite_distance(float(ev[-1]))
     rank = np.full(dist.shape, ev.size, dtype=np.int32)
     rank[iu, ju] = rank[ju, iu] = np.arange(ev.size, dtype=np.int32)
     return dist, rank, iu, ju, ev

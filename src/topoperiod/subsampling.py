@@ -58,7 +58,8 @@ def maxmin(cloud: PointCloud, n: int, seed: int = 0) -> PointCloud:
     maximizes the distance to everything already chosen, ties resolved
     toward the lowest index. The result spreads points close to evenly
     over the cloud, so it covers the cloud at least as well as a random
-    pick of the same size on average.
+    pick of the same size on average. Raises ValueError when a distance
+    it computes overflows float64.
     """
     total = _checked_total(cloud, n)
     pts = cloud.points
@@ -68,11 +69,17 @@ def maxmin(cloud: PointCloud, n: int, seed: int = 0) -> PointCloud:
     # 8 or more coordinates pairwise, not in order, so on clouds of 8+
     # dimensions the two differ in the last bit, and switching could
     # change which points are picked, and with them the subsample's bytes.
-    mind = np.linalg.norm(pts - pts[chosen[0]], axis=1)
-    for _ in range(n - 1):
-        nxt = int(np.argmax(mind))  # argmax takes the first max: lowest index
-        chosen.append(nxt)
-        np.minimum(mind, np.linalg.norm(pts - pts[nxt], axis=1), out=mind)
+    # Coordinates are finite, so a norm is inf only by overflow; that
+    # raises rather than sending argmax to the first infinite distance.
+    try:
+        with np.errstate(over="raise"):
+            mind = np.linalg.norm(pts - pts[chosen[0]], axis=1)
+            for _ in range(n - 1):
+                nxt = int(np.argmax(mind))  # argmax takes the first max: lowest index
+                chosen.append(nxt)
+                np.minimum(mind, np.linalg.norm(pts - pts[nxt], axis=1), out=mind)
+    except FloatingPointError:
+        raise ValueError("distance overflow: points about 1e154 or more apart") from None
     return PointCloud(pts[chosen])
 
 

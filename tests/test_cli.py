@@ -98,32 +98,26 @@ class TestAclCommand:
         path, s = sine
         code, out, err = cli("acl", path)
         assert code == 0 and err == ""
-        curve = acl(s)
-        assert out == signal_csv_text(Signal(curve.values, curve.sample_rate_hz))
+        assert out == signal_csv_text(acl(s))
 
     def test_literal_flag_switches_form(self, cli, sine):
         path, s = sine
         code, out, _ = cli("acl", path, "--literal")
         assert code == 0
-        curve = acl(s, form="literal")
-        assert out == signal_csv_text(Signal(curve.values, curve.sample_rate_hz))
+        assert out == signal_csv_text(acl(s, form="literal"))
 
     def test_out_writes_file_and_silences_stdout(self, cli, sine, tmp_path):
         path, s = sine
         dest = tmp_path / "curve.csv"
         code, out, err = cli("acl", path, "--out", dest)
         assert code == 0 and out == "" and err == ""
-        curve = acl(s)
-        assert dest.read_text() == signal_csv_text(
-            Signal(curve.values, curve.sample_rate_hz)
-        )
+        assert dest.read_text() == signal_csv_text(acl(s))
 
     def test_window_flag_cuts_before_transform(self, cli, sine):
         path, s = sine
         code, out, _ = cli("acl", path, "--window", "0.0:0.05")
         assert code == 0
-        curve = acl(window(s, 0.0, 0.05))
-        assert out == signal_csv_text(Signal(curve.values, curve.sample_rate_hz))
+        assert out == signal_csv_text(acl(window(s, 0.0, 0.05)))
 
 
 class TestEmbedCommand:
@@ -164,9 +158,7 @@ class TestEmbedCommand:
         code, out, _ = cli("acl", path)
         assert code == 0
         expected = acl(Signal(ints.astype(np.float64) / 32768.0, 4000.0))
-        assert out == signal_csv_text(
-            Signal(expected.values, expected.sample_rate_hz)
-        )
+        assert out == signal_csv_text(expected)
 
     def test_valid_bits_below_the_container_embed_as_the_container(self, cli, tmp_path):
         # 12-bit samples in 16-bit containers: the same frames as a 16-bit
@@ -755,6 +747,33 @@ class TestExitCodesAndErrors:
         assert code == 1 and out == ""
         assert error_kind(err) == "MalformedHeader"
         assert json.loads(err)["message"] == f"{path}:2: not a number: 'nan'"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["acl", "sine.csv"], ["embed", "sine.csv"], ["persist", "cloud.csv"],
+         ["dist", "hausdorff", "near.csv", "far.csv"]],
+        ids=["acl", "embed", "persist", "hausdorff"],
+    )
+    def test_overflow_is_one_error_line(self, tmp_path, argv):
+        # A 100 Hz tone at 4 kHz and amplitude 1e200, whose lag sums
+        # overflow, and clouds 1e200 apart, whose squared distances do. A
+        # fresh process shows any warning that would reach stderr.
+        save_csv(Signal(1e200 * np.sin(2 * np.pi * np.arange(400) / 40), 4000.0),
+                 tmp_path / "sine.csv")
+        corners = [[1e200, 1e200], [-1e200, 1e200], [1e200, -1e200], [-1e200, -1e200]]
+        write_cloud_csv(PointCloud(np.array(corners + [[0.0, 0.0]])), tmp_path / "cloud.csv")
+        write_cloud_csv(PointCloud(np.array([[0.0, 0.0], [1.0, 1.0]])), tmp_path / "near.csv")
+        write_cloud_csv(PointCloud(np.array([[1e200, 0.0], [2e200, 0.0]])), tmp_path / "far.csv")
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "topoperiod.cli", *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert error_kind(proc.stderr) == "InvalidInput"
 
     @pytest.mark.parametrize("block", [0, 1, 6])
     def test_bad_wav_block_align_is_one_error_line(self, cli, tmp_path, block):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from topoperiod import (
-    AclCurve,
     MalformedHeaderError,
     NoCriticalPointsError,
     NoZeroCrossingError,
@@ -56,11 +56,11 @@ def _sine(period_samples: int, periods: int, amp: float = 1.0, phase: float = 0.
 class TestAcl:
     def test_all_ones(self):
         curve = acl(Signal(np.array([1.0, 1.0, 1.0, 1.0]), 1.0))
-        assert np.array_equal(curve.values, [4.0, 3.0, 2.0, 1.0])
+        assert np.array_equal(curve.samples, [4.0, 3.0, 2.0, 1.0])
 
     def test_alternating_signs(self):
         curve = acl(Signal(np.array([1.0, -1.0, 1.0, -1.0]), 1.0))
-        assert np.array_equal(curve.values, [4.0, -3.0, 2.0, -1.0])
+        assert np.array_equal(curve.samples, [4.0, -3.0, 2.0, -1.0])
 
     def test_lag_zero_is_energy(self):
         rng = SplitMix64(5)
@@ -68,7 +68,7 @@ class TestAcl:
         curve = acl(Signal(x, 2.0))
         assert len(curve) == 50
         assert curve.sample_rate_hz == 2.0
-        assert curve.values[0] == pytest.approx(float(np.sum(x * x)), abs=1e-12)
+        assert curve.samples[0] == pytest.approx(float(np.sum(x * x)), abs=1e-12)
 
     def test_matches_direct_summation(self):
         rng = SplitMix64(6)
@@ -76,12 +76,12 @@ class TestAcl:
         curve = acl(Signal(x, 1.0))
         for j in (1, 7, 39):
             direct = float(np.sum(x[: 40 - j] * x[j:]))
-            assert curve.values[j] == pytest.approx(direct, abs=1e-12)
+            assert curve.samples[j] == pytest.approx(direct, abs=1e-12)
 
     def test_literal_form_is_sample_times_sum(self):
         x = np.array([1.0, 2.0, 3.0])
         curve = acl(Signal(x, 1.0), form="literal")
-        assert np.array_equal(curve.values, [6.0, 12.0, 18.0])
+        assert np.array_equal(curve.samples, [6.0, 12.0, 18.0])
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
@@ -91,18 +91,32 @@ class TestAcl:
         curve = acl(_sine(100, 10))
         assert select_delay(curve, "first-zero") == pytest.approx(25, abs=1)
 
+    def test_curve_is_a_signal_on_the_input_grid(self):
+        i = np.arange(300)
+        x = np.cos(0.37 * i) + 0.1 * np.sin(2.1 * i)
+        curve = acl(Signal(x, 4000.0))
+        assert type(curve) is Signal and curve.sample_rate_hz == 4000.0
+        assert curve.samples.tobytes() == np.correlate(x, x, "full")[x.size - 1 :].tobytes()
+
+    def test_overflowing_sums_fail_the_signal_check(self):
+        # A 100 Hz tone at 4 kHz: its quarter period is 10 samples, but at
+        # amplitude 1e200 the lag sums overflow.
+        s = _sine(40, 10, amp=1e200, rate=4000.0)
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            select_delay(acl(s))
+
 
 class TestCriticalPoints:
     def test_enumeration(self):
-        crit = critical_points(AclCurve(np.array([4.0, 1.0, 3.0, 0.0, 2.0]), 1.0))
+        crit = critical_points(Signal(np.array([4.0, 1.0, 3.0, 0.0, 2.0]), 1.0))
         assert crit == [1, 2, 3]
 
     def test_monotone_curve_rejected(self):
         with pytest.raises(NoCriticalPointsError):
-            critical_points(AclCurve(np.array([5.0, 4.0, 3.0, 2.0]), 1.0))
+            critical_points(Signal(np.array([5.0, 4.0, 3.0, 2.0]), 1.0))
 
     def test_flat_extremum_reports_midpoint(self):
-        crit = critical_points(AclCurve(np.array([0.0, 1.0, 1.0, 1.0, 0.0]), 1.0))
+        crit = critical_points(Signal(np.array([0.0, 1.0, 1.0, 1.0, 0.0]), 1.0))
         assert crit == [2]
 
     def test_sine_first_critical_near_half_period(self):
@@ -166,14 +180,15 @@ def _outcome(fn, *args):
     """A call's result, or the class and message of what it raised."""
     try:
         return fn(*args)
-    except (NoZeroCrossingError, NoCriticalPointsError) as exc:
+    except (NoZeroCrossingError, NoCriticalPointsError, ValueError) as exc:
         return type(exc), str(exc)
 
 
 def _assert_same_delays(s: Signal) -> None:
-    curve = acl(s)
+    curve = _outcome(acl, s)
     for strategy in STRATEGIES:
-        assert _outcome(find_delay, s, strategy) == _outcome(select_delay, curve, strategy)
+        full = curve if isinstance(curve, tuple) else _outcome(select_delay, curve, strategy)
+        assert _outcome(find_delay, s, strategy) == full
 
 
 class TestCrossingScanner:
@@ -194,7 +209,7 @@ class TestCrossingScanner:
 
     def test_matches_loop_oracle_on_fixture_curves(self, fixture_signals):
         for s in fixture_signals[::3]:
-            v = acl(normalize(s)).values
+            v = acl(normalize(s)).samples
             lags = np.maximum(np.rint(crossing_positions(v)), 1).astype(int).tolist()
             assert lags == zero_crossing_lags(v)
             assert embedding._critical_lags(v).tolist() == critical_lags(v)
@@ -222,7 +237,7 @@ class TestFindDelay:
         # ends after lag 254 and the next starts at lag 255; these
         # crossings lie just before, across and just after that edge.
         s = Signal(np.sin(2 * np.pi * np.arange(20000) / period), 1.0)
-        assert int(crossing_positions(acl(s).values)[0]) == straddle
+        assert int(crossing_positions(acl(s).samples)[0]) == straddle
         _assert_same_delays(s)
         # With the full curve unavailable, the scan alone finds it.
         monkeypatch.setattr(embedding, "acl", None)
@@ -234,7 +249,7 @@ class TestFindDelay:
         # starts a block, so the zero and both its neighbours lie in it.
         x = np.tile(np.repeat([1.0, 0.0, -1.0, 0.0], 256), 20)
         s = Signal(x, 1.0)
-        v = acl(s).values
+        v = acl(s).samples
         assert v[255] > 0 and v[256] == 0.0 and v[257] < 0
         _assert_same_delays(s)
         monkeypatch.setattr(embedding, "acl", None)
@@ -290,6 +305,23 @@ class TestFindDelay:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown delay strategy"):
             find_delay(_sine(100, 2), "third-zero")
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        log_amp=st.floats(140.0, 308.0),
+        period=st.integers(8, 60),
+        phase=st.floats(0.0, 6.3),
+    )
+    def test_overflowing_lag_sums_raise_as_the_full_curve_does(self, log_amp, period, phase):
+        # From about amplitude 1e152 on, the 400-sample tone's lag sums
+        # overflow float64, and acl's Signal check rejects the curve.
+        s = _sine(period, 400 // period, amp=10.0**log_amp, phase=phase, rate=4000.0)
+        _assert_same_delays(s)
+        x = s.samples
+        if not np.isfinite(np.correlate(x, x, "full")).all():
+            for strategy in STRATEGIES:
+                with pytest.raises(ValueError, match="^samples must be finite$"):
+                    find_delay(s, strategy)
 
 
 class TestDelayEmbed:
@@ -455,6 +487,11 @@ class TestPointCloudType:
         assert cloud.diameter() == 5.0
         assert PointCloud(np.array([[1.0, 1.0]])).diameter() == 0.0
 
+    def test_overflowing_diameter_rejected(self):
+        cloud = PointCloud(np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="distance overflow"):
+            cloud.diameter()
+
     def test_len_and_dim(self):
         cloud = PointCloud(np.zeros((7, 3)))
         assert len(cloud) == 7
@@ -487,6 +524,13 @@ class TestPairwise:
         q = _cloud(rng, kind, m, dim, scale)
         assert np.array_equal(pairwise(p), squareform(pdist(p)))
         assert np.array_equal(pairwise(p, q), cdist(p, q))
+
+    def test_overflow_is_inf_without_a_warning(self):
+        p = np.array([[1e200, 0.0], [-1e200, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = pairwise(p)
+        assert d.tolist() == [[0.0, math.inf], [math.inf, 0.0]]
 
 
 class TestCloudCsv:

@@ -128,6 +128,21 @@ class TestHausdorff:
         small_b = PointCloud(g[:200] + np.array([0.3, 0.4]))
         assert hausdorff(small_a, small_b) == pytest.approx(0.5, abs=1e-12)
 
+    # 1001 copies give 2002 x 2002 point pairs, past the k-d tree fork.
+    @pytest.mark.parametrize("copies", [1, 1001], ids=["direct", "tree"])
+    def test_overflowing_result_rejected(self, copies):
+        near = PointCloud(np.tile([[0.0, 0.0], [1.0, 1.0]], (copies, 1)))
+        far = PointCloud(np.tile([[1e200, 0.0], [2e200, 0.0]], (copies, 1)))
+        with pytest.raises(ValueError, match="distance overflow"):
+            hausdorff(near, far)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("copies", [1, 401], ids=["direct", "tree"])
+    def test_overflow_outside_the_result_is_ignored(self, copies):
+        corners = [[1e200, 1e200], [-1e200, 1e200], [1e200, -1e200], [-1e200, -1e200]]
+        cloud = PointCloud(np.tile(corners + [[0.0, 0.0]], (copies, 1)))
+        assert hausdorff(cloud, cloud) == 0.0
+
     def test_empty_cloud_rejected(self):
         cloud = _random_cloud(5, 4)
         with pytest.raises(EmptyCloudError):

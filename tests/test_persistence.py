@@ -464,6 +464,27 @@ class TestH1DiagramEnclosingRadius:
         assert fast == h1_diagram_heap(cloud, max_eps=0.75)
         assert fast == persistent_homology(rips_filtration(cloud, max_dim=2, max_eps=0.75))
 
+    def test_overflowing_kept_edge_rejected(self):
+        corners = [[1e200, 1e200], [-1e200, 1e200], [1e200, -1e200], [-1e200, -1e200]]
+        cloud = PointCloud(np.array(corners + [[0.0, 0.0]]))
+        with pytest.raises(ValueError, match="distance overflow"):
+            h1_diagram(cloud)
+        with pytest.raises(ValueError, match="distance overflow"):
+            rips_filtration(cloud, max_dim=1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_cutoff_that_drops_the_overflowing_edges_keeps_the_diagram(self):
+        # The centre is 1e154 from both ends, which are 2e154 apart: only
+        # that distance overflows, and the enclosing radius leaves it out.
+        cloud = PointCloud(np.array([[0.0, 0.0], [1e154, 0.0], [-1e154, 0.0]]))
+        fast = h1_diagram(cloud)
+        assert [(iv.dim, iv.birth, iv.death) for iv in fast.intervals] == [
+            (0, 0.0, 1e154), (0, 0.0, 1e154), (0, 0.0, math.inf)
+        ]
+        assert fast == persistent_homology(rips_filtration(cloud, max_dim=2, max_eps=1e154))
+        with pytest.raises(ValueError, match="distance overflow"):
+            rips_filtration(cloud, max_dim=2)
+
 
 class TestH1DiagramHeapOracle:
     @pytest.mark.parametrize("size", [100, 200])

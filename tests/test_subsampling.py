@@ -97,6 +97,11 @@ class TestMaxmin:
         with pytest.raises(ValueError):
             maxmin(cloud, 0, seed=0)
 
+    def test_overflowing_distance_rejected(self):
+        cloud = PointCloud(np.array([[0.0, 0.0], [1e200, 0.0], [-1e200, 0.0]]))
+        with pytest.raises(ValueError, match="distance overflow"):
+            maxmin(cloud, 2, seed=0)
+
 
 class TestRandomSubsample:
     def test_subset_and_distinct(self):
