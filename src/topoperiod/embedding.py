@@ -132,7 +132,10 @@ def acl(s: Signal, form: str = "lag") -> Signal:
         # keeps the nonnegative lags j = 0 .. k-1.
         vals = np.correlate(x, x, mode="full")[x.size - 1 :]
     elif form == "literal":
-        vals = x * float(np.sum(x))
+        # An overflowing sum or product gives inf, and a zero sample times
+        # an inf sum NaN; the Signal check rejects both.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = x * float(np.sum(x))
     else:
         raise ValueError(f"unknown ACL form: {form!r}")
     return Signal(vals, s.sample_rate_hz)

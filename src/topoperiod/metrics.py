@@ -32,6 +32,15 @@ from .errors import DimensionMismatchError, EmptyCloudError
 from .persistence import PersistenceDiagram
 
 
+# Above this many point pairs (len(a) * len(b)), ``hausdorff`` finds
+# nearest neighbours with a k-d tree instead of computing every distance.
+_TREE_PAIRS = 4_000_000
+# Points of the larger partner bounds that the tree queries first, for L.
+_SEED_QUERIES = 128
+# Distances per ``pairwise`` block of the direct branch (512 KiB each).
+_BLOCK_PAIRS = 1 << 16
+
+
 def hausdorff(a: PointCloud, b: PointCloud) -> float:
     """Symmetric Hausdorff distance between two clouds.
 
@@ -40,13 +49,15 @@ def hausdorff(a: PointCloud, b: PointCloud) -> float:
     Euclidean throughout.
 
     Up to 4 000 000 point pairs (``len(a) * len(b)``) every distance is
-    computed with ``pairwise``; above that, a k-d tree finds the nearest
-    neighbors, so memory stays linear in the cloud sizes. The two paths
-    sum squared coordinates in different orders, and on clouds of 8 or
-    more dimensions they disagree in the last bit on about a fifth of
-    random cloud pairs. The bytes ``topoperiod dist hausdorff`` prints
-    for such clouds therefore depend on which side of the size fork the
-    pair falls. On both sides a result that overflows float64 raises
+    computed with ``pairwise``, a block of rows of ``a`` at a time, so
+    memory stays bounded; above that, a k-d tree finds the nearest
+    neighbors, so memory stays linear in the cloud sizes, and most points
+    need no query (``_directed_tree``). The two paths sum squared
+    coordinates in different orders, and on clouds of 8 or more
+    dimensions they disagree in the last bit on about a fifth of random
+    cloud pairs. The bytes ``topoperiod dist hausdorff`` prints for such
+    clouds therefore depend on which side of the size fork the pair
+    falls. On both sides a result that overflows float64 raises
     ValueError; overflowed distances that the result does not read, such
     as those between far-apart points of ``c`` in ``hausdorff(c, c)``, do
     not.
@@ -55,17 +66,68 @@ def hausdorff(a: PointCloud, b: PointCloud) -> float:
         raise EmptyCloudError("Hausdorff distance needs two nonempty clouds")
     if a.dim != b.dim:
         raise DimensionMismatchError(f"cloud dimensions differ: {a.dim} vs {b.dim}")
-    if len(a) * len(b) > 4_000_000:
-        from scipy.spatial import cKDTree
+    if len(a) * len(b) > _TREE_PAIRS:
+        return _finite_distance(
+            max(_directed_tree(a.points, b.points), _directed_tree(b.points, a.points))
+        )
+    p, q = a.points, b.points
+    rows = max(1, _BLOCK_PAIRS // len(q))
+    row_max = 0.0
+    col_min = np.full(len(q), np.inf)
+    for start in range(0, len(p), rows):
+        d = pairwise(p[start : start + rows], q)
+        row_max = max(row_max, float(d.min(axis=1).max()))
+        np.minimum(col_min, d.min(axis=0), out=col_min)
+    return _finite_distance(max(row_max, float(col_min.max())))
 
-        # The unbalanced, uncompacted trees build faster; the search is
-        # exact whatever the tree's shape.
-        tree = {"balanced_tree": False, "compact_nodes": False}
-        d_ab = cKDTree(b.points, **tree).query(a.points)[0].max()
-        d_ba = cKDTree(a.points, **tree).query(b.points)[0].max()
-        return _finite_distance(float(max(d_ab, d_ba)))
-    d = pairwise(a.points, b.points)
-    return _finite_distance(float(max(d.min(axis=1).max(), d.min(axis=0).max())))
+
+def _directed_tree(p: np.ndarray, q: np.ndarray) -> float:
+    """The largest k-d tree nearest-neighbor distance from the rows of p into q.
+
+    Equal to ``cKDTree(q).query(p)[0].max()``, bit for bit, but most
+    points need no query. The partner of ``p[i]`` is
+    ``q[min(i, len(q) - 1)]``; for two graphs on one time grid it is the
+    sample at the same instant. ``u[i]``, the squared distance to the
+    partner summed in coordinate order, bounds the squared nearest
+    distance of ``p[i]`` for any two clouds. The ``_SEED_QUERIES`` (128)
+    points of largest ``u`` are queried first; the largest of their distances is
+    L, a lower bound of the answer. Then only the points with
+    ``u * (1 + 8 * dim * eps) >= L * L`` are queried, and the answer is
+    the larger of L and their maximum.
+
+    A skipped point's nearest distance is at most its partner distance,
+    which is below L, so it cannot exceed the answer. The margin covers
+    the rounding that separates ``u`` and ``L * L`` from the tree's own
+    squared distances: the tree squares the same coordinate differences
+    but sums them in another order in 8 or more dimensions, and L is a
+    rounded square root (relative error below ``(dim + 3) * eps`` in
+    all; sums of underflowed squares are exact). So even the tree's
+    rounded distance from a skipped point to its partner is at most L,
+    and the answer is always the tree's own distance for the point that
+    attains it. A ``u`` or an answer that overflows is ``inf``.
+    """
+    from scipy.spatial import cKDTree
+
+    # The unbalanced, uncompacted tree builds faster; the search is exact
+    # whatever the tree's shape.
+    tree = cKDTree(q, balanced_tree=False, compact_nodes=False)
+    if len(p) <= _SEED_QUERIES:
+        return float(tree.query(p)[0].max())
+    partner = q[np.minimum(np.arange(len(p)), len(q) - 1)]
+    with np.errstate(over="ignore"):
+        u = p[:, 0] - partner[:, 0]
+        u *= u
+        for k in range(1, p.shape[1]):
+            diff = p[:, k] - partner[:, k]
+            diff *= diff
+            u += diff
+        seeds = np.argpartition(u, len(p) - _SEED_QUERIES)[-_SEED_QUERIES:]
+        low = float(tree.query(p[seeds])[0].max())
+        rest = u * (1 + 8 * p.shape[1] * np.finfo(np.float64).eps) >= low * low
+    rest[seeds] = False
+    if not rest.any():
+        return low
+    return max(low, float(tree.query(p[rest])[0].max()))
 
 
 def _interval_arrays(diagram: PersistenceDiagram, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -750,14 +750,15 @@ class TestExitCodesAndErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["acl", "sine.csv"], ["embed", "sine.csv"], ["persist", "cloud.csv"],
-         ["dist", "hausdorff", "near.csv", "far.csv"]],
-        ids=["acl", "embed", "persist", "hausdorff"],
+        [["acl", "sine.csv"], ["acl", "--literal", "sine.csv"], ["embed", "sine.csv"],
+         ["persist", "cloud.csv"], ["dist", "hausdorff", "near.csv", "far.csv"]],
+        ids=["acl", "acl-literal", "embed", "persist", "hausdorff"],
     )
     def test_overflow_is_one_error_line(self, tmp_path, argv):
-        # A 100 Hz tone at 4 kHz and amplitude 1e200, whose lag sums
-        # overflow, and clouds 1e200 apart, whose squared distances do. A
-        # fresh process shows any warning that would reach stderr.
+        # A 100 Hz tone at 4 kHz and amplitude 1e200, whose lag sums and
+        # sample-times-sum products overflow, and clouds 1e200 apart, whose
+        # squared distances do. A fresh process with warnings as errors
+        # shows any warning that would reach stderr.
         save_csv(Signal(1e200 * np.sin(2 * np.pi * np.arange(400) / 40), 4000.0),
                  tmp_path / "sine.csv")
         corners = [[1e200, 1e200], [-1e200, 1e200], [1e200, -1e200], [-1e200, -1e200]]
@@ -770,7 +771,7 @@ class TestExitCodesAndErrors:
             capture_output=True,
             text=True,
             cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error"),
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert error_kind(proc.stderr) == "InvalidInput"

@@ -105,6 +105,14 @@ class TestAcl:
         with pytest.raises(ValueError, match="^samples must be finite$"):
             select_delay(acl(s))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [[1e200, -1e200, 3e200], [1e308, 1e308, 0.0]],
+                             ids=["product", "sum"])
+    def test_overflowing_literal_form_fails_without_a_warning(self, x):
+        # The second sum overflows to inf, and 0 * inf is NaN.
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            acl(Signal(np.array(x), 1.0), form="literal")
+
 
 class TestCriticalPoints:
     def test_enumeration(self):

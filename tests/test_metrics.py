@@ -2,11 +2,14 @@
 
 import math
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from topoperiod import (
     DimensionMismatchError,
@@ -23,6 +26,8 @@ from topoperiod import (
     random_subsample,
     synthesize,
 )
+from topoperiod import metrics
+from topoperiod.embedding import pairwise
 from topoperiod.subsampling import SplitMix64
 
 from fixtures import noise_signal, wheeze_model
@@ -35,6 +40,31 @@ def _random_cloud(seed: int, count: int, dim: int = 2) -> PointCloud:
         [[(rng.next_u64() >> 11) / 2**53 for _ in range(dim)] for _ in range(count)]
     )
     return PointCloud(pts)
+
+
+def _full_tree(p: np.ndarray, q: np.ndarray) -> float:
+    """The largest nearest-neighbor distance from p into q, every point queried."""
+    tree = cKDTree(q, balanced_tree=False, compact_nodes=False)
+    return float(tree.query(p)[0].max())
+
+
+def _cloud_pair(seed: int, dim: int, n: int, m: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two clouds of n and m points: Gaussian, half-integer (ties),
+    duplicated points, or a graph-like signal and a perturbed copy on
+    the same time grid."""
+    rng = np.random.default_rng(seed)
+    if kind == "gauss":
+        return rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+    if kind == "half":
+        return np.round(rng.normal(size=(n, dim)) * 4) / 2, np.round(rng.normal(size=(m, dim)) * 4) / 2
+    if kind == "dup":
+        base = rng.normal(size=(max(1, min(n, m) // 3), dim))
+        return base[rng.integers(0, len(base), n)], base[rng.integers(0, len(base), m)]
+    t = np.arange(max(n, m), dtype=float)[:, None] / 4000.0
+    x = np.sin(2 * np.pi * rng.uniform(50, 500, dim - 1) * t + rng.uniform(0, 6, dim - 1))
+    p = np.hstack((t, x))
+    q = p + np.hstack((np.zeros_like(t), rng.normal(scale=10.0 ** rng.uniform(-8, -1), size=x.shape)))
+    return p[:n], q[:m]
 
 
 def _diagram(pairs: list[tuple[float, float]], dim: int = 1) -> PersistenceDiagram:
@@ -121,12 +151,81 @@ class TestHausdorff:
         ).reshape(-1, 2)
         a = PointCloud(g)
         b = PointCloud(g + np.array([0.3, 0.4]))
-        assert len(a) * len(b) > 4_000_000
+        assert len(a) * len(b) > metrics._TREE_PAIRS
         assert hausdorff(a, b) == pytest.approx(0.5, abs=1e-12)
 
         small_a = PointCloud(g[:200])
         small_b = PointCloud(g[:200] + np.array([0.3, 0.4]))
         assert hausdorff(small_a, small_b) == pytest.approx(0.5, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 300),
+        st.integers(1, 300),
+        st.sampled_from(["gauss", "half", "dup", "graph"]),
+        st.sampled_from([1, 5, 128]),
+    )
+    def test_pruned_tree_equals_full_query(self, seed, dim, n, m, kind, seeds):
+        # The tree branch forced on small clouds, with fewer seed queries
+        # too, so that the pruning runs on clouds of a few points.
+        p, q = _cloud_pair(seed, dim, n, m, kind)
+        want = max(_full_tree(p, q), _full_tree(q, p))
+        with mock.patch.object(metrics, "_TREE_PAIRS", 0), \
+                mock.patch.object(metrics, "_SEED_QUERIES", seeds):
+            got = hausdorff(PointCloud(p), PointCloud(q))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @mock.patch.object(metrics, "_SEED_QUERIES", 1)
+    def test_partner_bound_equal_to_the_lower_bound(self):
+        # p[0] is the one seed: its partner bound is 100 and its nearest
+        # distance L = 5. p[1]'s partner bound is exactly L * L = 25, and
+        # its nearest distance is L too.
+        p = np.array([[0.0, 0.0], [3.0, -1.0], [100.0, 100.0]])
+        q = np.array([[0.0, 10.0], [3.0, 4.0], [100.0, 100.0]])
+        assert metrics._directed_tree(p, q) == _full_tree(p, q) == 5.0
+        p[1] = [3.0, -2.0]
+        assert metrics._directed_tree(p, q) == _full_tree(p, q) == 6.0
+
+    def test_no_more_points_than_seed_queries(self):
+        p, q = _cloud_pair(3, 4, metrics._SEED_QUERIES, 5000, "gauss")
+        assert metrics._directed_tree(p, q) == _full_tree(p, q)
+        assert metrics._directed_tree(p[:3], q) == _full_tree(p[:3], q)
+
+    def test_tree_branch_equals_full_query_on_signal_graphs(self):
+        # A noisy tone and its smoothed copy on one 4 kHz grid, past the
+        # fork: the graph pairs the model residual compares.
+        rng = np.random.default_rng(7)
+        t = np.arange(2500) / 4000.0
+        x = np.sin(2 * np.pi * 300 * t) + rng.normal(scale=0.01, size=t.size)
+        p = np.column_stack((t, x))
+        q = np.column_stack((t, np.convolve(x, np.ones(3) / 3, "same")))
+        assert len(p) * len(q) > metrics._TREE_PAIRS
+        want = max(_full_tree(p, q), _full_tree(q, p))
+        assert hausdorff(PointCloud(p), PointCloud(q)) == want
+
+    @pytest.mark.parametrize("block", [1, 7, 1000, 1 << 16])
+    def test_blocked_direct_branch_equals_full_matrix(self, block):
+        for dim, n, m in [(1, 37, 400), (2, 300, 250), (9, 120, 90), (3, 1, 50)]:
+            p, q = _cloud_pair(dim * n, dim, n, m, "gauss")
+            d = pairwise(p, q)
+            want = max(d.min(axis=1).max(), d.min(axis=0).max())
+            with mock.patch.object(metrics, "_BLOCK_PAIRS", block):
+                got = hausdorff(PointCloud(p), PointCloud(q))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_direct_branch_memory_is_bounded(self):
+        p, q = _cloud_pair(11, 2, 1500, 1500, "gauss")
+        a, b = PointCloud(p), PointCloud(q)
+        tracemalloc.start()
+        try:
+            hausdorff(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One full float64 matrix is 18 MB.
+        assert peak < 1500 * 1500 * 8 // 4
 
     # 1001 copies give 2002 x 2002 point pairs, past the k-d tree fork.
     @pytest.mark.parametrize("copies", [1, 1001], ids=["direct", "tree"])
