@@ -82,55 +82,51 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-_ROW_KEYS = {"birth", "death", "dim"}
+def _rows_text(rows: list | tuple, pad: str) -> str | None:
+    """Dicts with one set of str keys and scalar values, each at ``pad``.
 
-
-def _rows_text(rows: Any, pad: str) -> str | None:
-    """A list of diagram rows as ``json.dumps`` indents it at ``pad``.
-
-    Each row is filled into one template from its values as the C
-    encoder writes them (``float.__repr__``, ``Infinity``, ``NaN``,
-    ``null``). None when ``rows`` is not a list of dicts whose keys are
-    birth, death and dim and whose values are all scalars.
+    Every row fills one template from the values' compact text, split at
+    the newlines given as separators. None for rows of any other shape.
     """
-    if not isinstance(rows, list) or not all(
-        type(row) is dict and row.keys() == _ROW_KEYS for row in rows
+    keys = rows[0].keys() if type(rows[0]) is dict else ()
+    if not keys or any(type(k) is not str for k in keys) or any(
+        type(row) is not dict or row.keys() != keys for row in rows
     ):
         return None
-    if not rows:
-        return "[]"
-    values = json.dumps([v for row in rows for v in (row["birth"], row["death"], row["dim"])])
-    # A string, list or dict value would have its own quotes or brackets.
-    if '"' in values or "{" in values or "[" in values[1:]:
+    keys = sorted(keys)
+    values = json.dumps([row[k] for row in rows for k in keys], separators=("\n", ":"))
+    if "[" in values[1:] or "{" in values:  # a list or dict value, or a string holding one
         return None
-    row = (
-        f'{pad}  {{\n{pad}    "birth": %s,\n{pad}    "death": %s,\n'
-        f'{pad}    "dim": %s\n{pad}  }}'
-    )
-    filled = ",\n".join([row] * len(rows)) % tuple(values[1:-1].split(", "))
-    return f"[\n{filled}\n{pad}]"
+    fields = ",\n".join(f"{pad}  {json.dumps(k).replace('%', '%%')}: %s" for k in keys)
+    row = f"{pad}{{\n{fields}\n{pad}}}"
+    return ",\n".join([row] * len(rows)) % tuple(values[1:-1].split("\n"))
+
+
+def _json_value(obj: Any, pad: str) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it at ``pad``.
+
+    That call encodes in pure Python. Here the C encoder writes the keys
+    and scalars, and newlines can separate them: it writes none inside one.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        # '"key": value' for each key in one call, with a list or dict value as 0.
+        flat = {k: 0 if isinstance(obj[k], (dict, list, tuple)) else obj[k] for k in sorted(obj)}
+        items = json.dumps(flat, separators=("\n", ": "))[1:-1].split("\n")
+        text = ",\n".join(
+            inner + (item if flat[k] is obj[k] else item[:-1] + _json_value(obj[k], inner))
+            for k, item in zip(flat, items)
+        )
+        return f"{{\n{text}\n{pad}}}"
+    text = _rows_text(obj, inner) or ",\n".join(inner + _json_value(v, inner) for v in obj)
+    return f"[\n{text}\n{pad}]"
 
 
 def _json_text(obj: Any) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, byte for byte.
-
-    With ``indent`` set, ``json`` encodes in pure Python. So the diagram
-    rows, which are almost all of a ``persist`` list or a ``detect``
-    report, come from ``_rows_text``, and only the report's other keys go
-    through ``json.dumps``. A top-level key line is the only place where
-    a newline is followed by exactly two spaces and a quote, so the
-    report's empty placeholder diagram is found without ambiguity.
-    """
-    if isinstance(obj, list):
-        rows = _rows_text(obj, "")
-        if rows is not None:
-            return rows + "\n"
-    elif isinstance(obj, dict) and "diagram" in obj:
-        rows = _rows_text(obj["diagram"], "  ")
-        if rows is not None:
-            text = json.dumps({**obj, "diagram": []}, sort_keys=True, indent=2)
-            return text.replace('\n  "diagram": []', '\n  "diagram": ' + rows, 1) + "\n"
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` and a newline, byte for byte."""
+    return _json_value(obj, "") + "\n"
 
 
 def _load_config(args: argparse.Namespace) -> dict:

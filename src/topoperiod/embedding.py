@@ -61,15 +61,16 @@ def _finite_distance(d: float) -> float:
 class PointCloud:
     """A finite set of points in a common ambient dimension.
 
-    ``points`` is a read-only (n, m) float64 array; n may be zero.
-    Coordinates must be finite. It may be a view that is not contiguous,
+    ``points`` is a read-only (n, m) float64 view; n may be zero.
+    Coordinates must be finite. A float64 array passed in is not copied,
+    and it stays writable for its owner. The view need not be contiguous,
     such as ``delay_embed``'s rows over the signal's samples.
     """
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.points, dtype=np.float64)
+        arr = np.asarray(self.points, dtype=np.float64).view()
         if arr.ndim != 2:
             raise ValueError("points must be a 2-D array of shape (n, m)")
         if arr.shape[1] < 1:
@@ -260,36 +261,48 @@ def find_delay(s: Signal, strategy: str = "first-zero") -> int:
 
     Lag j of the curve is computed as ``np.dot(x[:k-j], x[j:])``, the
     same sum with the same rounding as ``np.correlate``, which calls the
-    same dot routine once per lag. Lags come in blocks of 1, 2, 4, ...,
-    so the blocks end at 2^b - 1 lags. After each block the lags so far
-    are scanned for the strategy's features; the scan stops as soon as
-    they hold enough of them, or when they are the whole curve. A curve
-    whose feature lies at lag j costs at most about 2j dot products.
-    A curve without the feature costs all k dot products, one call each:
-    1-2 us of call overhead per lag above what ``np.correlate`` takes,
-    so on a featureless curve of a few thousand samples or fewer this is
-    several times slower than ``acl``. The errors, messages included,
-    are those of ``select_delay(acl(s))``, because the last prefix is
-    the full curve. That holds for overflow too: lag 0 is the largest
-    sum, ``sum x_l^2``, so when any sum overflows it does, and the scan
-    raises the ``ValueError("samples must be finite")`` that ``acl``'s
+    same dot routine once per lag. Lags come one at a time, and the scan
+    counts the sign changes the strategy reads: of the curve for a zero
+    crossing, of its differences for a critical point. When they are
+    enough, the lags so far are scanned as ``select_delay`` scans a full
+    curve, and the scan stops if that finds the features. So a curve
+    whose feature lies at lag j costs j + 1 dot products. A curve
+    without the feature costs all k dot products, one call each: 1-2 us
+    of call overhead per lag above what ``np.correlate`` takes, so on a
+    featureless curve of a few thousand samples or fewer this is several
+    times slower than ``acl``. The errors, messages included, are those
+    of ``select_delay(acl(s))``, because the last prefix is the full
+    curve. That holds for overflow too: lag 0 is the largest sum,
+    ``sum x_l^2``, so when any sum overflows it does, and the scan raises
+    the ``ValueError("samples must be finite")`` that ``acl``'s
     ``Signal`` check raises.
     """
     _check_strategy(strategy)
     x = s.samples
     k = x.size
+    need = _FEATURES_NEEDED[strategy]
+    slope = strategy == "mid-critical"
     vals = np.empty(k)
-    m = 0
+    # The sign of the last nonzero value, or difference for a critical
+    # point, and how often it changed. Lag 0 has no difference: NaN, which
+    # counts as zero, as it does in ``_sign_changes``.
+    side = turns = 0
+    prev = math.nan
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            stop = min(2 * m + 1, k)
-            for j in range(m, stop):
-                vals[j] = np.dot(x[: k - j], x[j:])
-            m = stop
-            lags = _feature_lags(vals[:m], strategy)
-            if m == k or len(lags) >= _FEATURES_NEEDED[strategy]:
-                break
-    if not np.isfinite(vals[:m]).all():
+        for j in range(k):
+            v = vals[j] = float(np.dot(x[: k - j], x[j:]))
+            term, prev = (v - prev if slope else v), v
+            sign = (term > 0) - (term < 0)
+            if sign and sign != side:
+                turns += side != 0
+                side = sign
+                if turns >= need:
+                    lags = _feature_lags(vals[: j + 1], strategy)
+                    if len(lags) >= need:
+                        break
+        else:
+            lags = _feature_lags(vals, strategy)
+    if not np.isfinite(vals[: j + 1]).all():
         raise ValueError("samples must be finite")
     return _delay_from(lags, strategy, k)
 

@@ -40,7 +40,9 @@ class Signal:
     Attributes
     ----------
     samples : np.ndarray
-        Sample values, 1-D float64, at least two of them, all finite.
+        Sample values, 1-D float64, at least two of them, all finite. A
+        read-only view: a float64 array passed in is not copied, and it
+        stays writable for its owner.
     sample_rate_hz : float
         Positive sampling rate. Sample ``i`` sits at time ``i / rate``.
     """
@@ -49,7 +51,7 @@ class Signal:
     sample_rate_hz: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.samples, dtype=np.float64)
+        arr = np.asarray(self.samples, dtype=np.float64).view()
         if arr.ndim != 1:
             raise ValueError("samples must be a 1-D array")
         if arr.size < 2:

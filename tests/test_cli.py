@@ -415,7 +415,7 @@ class TestFitCommand:
         path, s = sine
         code, out, err = cli("fit", path)
         assert code == 0 and err == ""
-        assert json.loads(out) == fit_model(s).to_dict()
+        assert out == json.dumps(fit_model(s).to_dict(), sort_keys=True, indent=2) + "\n"
 
     def test_fitted_model_round_trips_through_synth(self, cli, sine, tmp_path):
         path, s = sine
@@ -562,12 +562,87 @@ _REPORTS = st.fixed_dictionaries(
 )
 
 
+_MODELS = st.fixed_dictionaries(
+    {
+        "segments": st.lists(
+            st.fixed_dictionaries(
+                {"t0": _JSON_FLOATS, "t1": _JSON_FLOATS, "period": _JSON_FLOATS,
+                 "phase": _JSON_FLOATS}
+            ),
+            max_size=5,
+        ),
+        "envelope": st.lists(st.fixed_dictionaries({"t": _JSON_FLOATS, "a": _JSON_FLOATS}),
+                             max_size=40),
+    }
+)
+# Strings that a compact encoding could split or quote wrongly.
+_JSON_STRINGS = st.text(
+    alphabet=st.sampled_from(list('ab, "\\%:[]{}\n\t\x00é€😀')), max_size=8
+) | st.sampled_from(["", ", ", '", "', "%s", "%%", "}\n{", "naïve", "\u2028"])
+_LABELS = st.sampled_from(["harmonic", "non-harmonic", "undecidable"])
+_EVALS = st.fixed_dictionaries(
+    {
+        "accuracy": _JSON_FLOATS,
+        "confusion": st.dictionaries(_LABELS, st.dictionaries(_LABELS, st.integers(0, 99))),
+        "config": st.fixed_dictionaries(
+            {"threshold": _JSON_FLOATS, "n": st.integers(0, 1000), "seed": st.integers(),
+             "method": st.sampled_from(["random", "maxmin"]), "strategy": _JSON_STRINGS}
+        ),
+        "items": st.lists(
+            st.fixed_dictionaries(
+                {"label": _LABELS, "path": _JSON_STRINGS, "significance": _JSON_FLOATS,
+                 "truth": _JSON_STRINGS}
+            ),
+            max_size=6,
+        ),
+    }
+)
+_DISTS = st.fixed_dictionaries(
+    {"metric": st.sampled_from(["bottleneck", "hausdorff"]),
+     "distance": st.none() | _JSON_FLOATS, "infinite": st.booleans()},
+    optional={"dim": st.integers(0, 3)},
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _JSON_FLOATS, _JSON_STRINGS,
+    st.sampled_from([0, 1, True, False, -0.0, 5e-324, 1e300, -1e300, math.nan, math.inf,
+                     -math.inf]),
+)
+_KEYS = _JSON_STRINGS | st.sampled_from(["%", "%s", "a%%b", '"', "k\"ey", "é"])
+# Nested dicts, int-keyed dicts, empty containers, and lists of rows whose
+# key sets differ or whose values are lists and dicts.
+_ANY_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+        st.lists(st.dictionaries(st.sampled_from(["a", "b", "%c"]), _SCALARS), max_size=4),
+        st.lists(st.dictionaries(st.sampled_from([1, 2]), _SCALARS), max_size=4),
+        st.lists(st.fixed_dictionaries({"a": inner, "b": _SCALARS}), max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
 class TestJsonText:
-    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
-    @given(st.one_of(_REPORTS, _DIAGRAM_ROWS, _NEAR_ROWS))
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(_REPORTS, _DIAGRAM_ROWS, _NEAR_ROWS, _MODELS, _EVALS, _DISTS, _ANY_JSON))
     def test_same_bytes_as_json_dumps(self, obj):
         expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
         assert cli_module._json_text(obj) == expected
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {}, [], {"a": {}, "b": []}, [{}, {}], {1: 0}, {2: {"x": [1]}, -1: None},
+            [{"a": 1}, {"b": 2}], [{"a": 1}, {"a": [2]}], [{"a%": 1, '"': "x, y"}] * 3,
+            [{"a": "[b"}, {"a": "{c"}], [{"a": {"k": 1}}, {"a": {"k": 2}}],
+            [{1: "x", 2: None}, {1: "y", 2: 0}], [True, 1, 0, False], {"t": (1, (2, 3))},
+            [-0.0, 5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf, None],
+        ],
+    )
+    def test_edge_cases_have_json_dumps_bytes(self, obj):
+        assert cli_module._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
     def test_detect_and_persist_print_json_dumps_bytes(self, cli, tmp_path):
         s = synthesize(wheeze_model(0), 4000.0)

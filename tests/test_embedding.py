@@ -241,9 +241,9 @@ class TestFindDelay:
         [(1018.0, 254, 255), (1019.5, 255, 256), (1022.0, 256, 257)],
     )
     def test_crossing_at_the_first_block_boundary(self, monkeypatch, period, straddle, lag):
-        # Blocks of 1, 2, 4, ... lags end at 2^b - 1 lags, so one block
-        # ends after lag 254 and the next starts at lag 255; these
-        # crossings lie just before, across and just after that edge.
+        # These crossings lie just before, across and just after the edge
+        # between lags 254 and 255, so the scan stops on one side of it or
+        # the other and must round the crossing the way the full curve does.
         s = Signal(np.sin(2 * np.pi * np.arange(20000) / period), 1.0)
         assert int(crossing_positions(acl(s).samples)[0]) == straddle
         _assert_same_delays(s)
@@ -253,8 +253,8 @@ class TestFindDelay:
 
     def test_curve_touching_zero_on_the_block_boundary(self, monkeypatch):
         # Lag 256 pairs every nonzero sample with a zero one, so the curve
-        # is exactly 0 there, positive before and negative after; lag 255
-        # starts a block, so the zero and both its neighbours lie in it.
+        # is exactly 0 there, positive before and negative after; the scan
+        # counts the crossing only at lag 257, past the zero.
         x = np.tile(np.repeat([1.0, 0.0, -1.0, 0.0], 256), 20)
         s = Signal(x, 1.0)
         v = acl(s).samples
@@ -265,7 +265,7 @@ class TestFindDelay:
 
     def test_short_tone_takes_the_lazy_path(self, monkeypatch):
         # A 200 Hz tone sampled at 4 kHz has every feature within the
-        # first 31 lags, the first five blocks.
+        # first 31 lags.
         s = Signal(np.sin(2 * np.pi * 200.0 * np.arange(4000) / 4000.0), 4000.0)
         curve = acl(s)
         expected = [select_delay(curve, strategy) for strategy in STRATEGIES]
@@ -275,7 +275,7 @@ class TestFindDelay:
     def test_curve_with_exact_zeros_at_every_odd_lag(self):
         _assert_same_delays(Signal(np.tile([1.0, 0.0, -1.0, 0.0], 5000), 1.0))
 
-    # Signals of 3 and 255 samples end exactly on a block edge.
+    # Short curves, some without the feature: the scan may reach their end.
     @pytest.mark.parametrize("k", [2, 3, 100, 255])
     def test_shorter_than_one_block(self, k):
         _assert_same_delays(Signal(np.cos(np.arange(k) * 0.7), 1.0))
@@ -489,6 +489,13 @@ class TestPointCloudType:
         cloud = PointCloud(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 9.0
+
+    def test_callers_array_stays_writable(self):
+        a = np.zeros((3, 2))
+        cloud = PointCloud(a)
+        assert a.flags.writeable and not cloud.points.flags.writeable
+        a[0, 0] = 1.0
+        assert a[0, 0] == 1.0
 
     def test_diameter(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]))

@@ -58,6 +58,13 @@ class TestSignalType:
         with pytest.raises(ValueError):
             s.samples[0] = 5.0
 
+    def test_callers_array_stays_writable(self):
+        a = np.array([1.0, 2.0, 3.0])
+        s = Signal(a, 1.0)
+        assert a.flags.writeable and not s.samples.flags.writeable
+        a[0] = 5.0
+        assert a[0] == 5.0
+
     def test_rejects_2d_samples(self):
         with pytest.raises(ValueError):
             Signal(np.zeros((2, 2)), 1.0)
