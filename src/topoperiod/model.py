@@ -51,6 +51,10 @@ _COS_2PHI, _SIN_2PHI = np.cos(2.0 * _PHI), np.sin(2.0 * _PHI)
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
+# Samples per block in ``envelope_at``: its temporaries are a few blocks,
+# not a few copies of the input.
+_ENVELOPE_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class SinusoidSegment:
@@ -64,6 +68,51 @@ class SinusoidSegment:
 
 # SinusoidSegment fields and their keys in ``to_dict``.
 _SEGMENT_FIELDS = (("t_start", "t0"), ("t_end", "t1"), ("period", "period"), ("phase", "phase"))
+
+
+def _pchip_coefficients(ts: np.ndarray, amps: np.ndarray) -> np.ndarray | None:
+    """Per-interval cubic coefficients of the PCHIP through (ts, amps).
+
+    Row k holds ``(c3, c2, c1, c0)``, and the interpolant on interval k is
+    ``c3 + c2 s + c1 s^2 + c0 s^3`` with ``s = t - ts[k]``. Every value is
+    the float scipy's ``PchipInterpolator`` forms, by the same operations
+    in the same order:
+
+    - breakpoint slopes as ``PchipInterpolator._find_derivatives`` picks
+      them: zero where the secant slopes either side change sign or one
+      is zero, else their weighted harmonic mean (Fritsch and Butland);
+      at each end the one-sided three-point estimate of Moler's
+      ``pchiptx``, zeroed when its sign differs from the end secant's,
+      and clipped to three times that secant when the first two secants
+      differ in sign; with two breakpoints, the one secant slope;
+    - coefficients as ``CubicHermiteSpline`` forms them.
+
+    Returns None when a breakpoint slope is not finite, where scipy
+    raises ValueError. The caller silences floating-point warnings.
+    """
+    h = ts[1:] - ts[:-1]
+    m = (amps[1:] - amps[:-1]) / h
+    if m.size == 1:
+        d = np.concatenate((m, m))
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        # Both ends at once: (h0, h1, m0, m1) from the outside in.
+        h0, h1 = h[[0, -1]], h[[1, -2]]
+        m0, m1 = m[[0, -1]], m[[1, -2]]
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        s0 = np.sign(m0)
+        zero = np.sign(end) != s0
+        clip = ~zero & (s0 != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        end = np.where(zero, 0.0, np.where(clip, 3.0 * m0, end))
+        d = np.concatenate((end[:1], np.where(flat, 0.0, 1.0 / whmean), end[1:]))
+    if not np.isfinite(d).all():
+        return None
+    c = (d[:-1] + d[1:] - 2 * m) / h
+    return np.column_stack((amps[:-1], d[:-1], (m - d[:-1]) / h - c, c / h))
 
 
 def _wrap_phase(x: float) -> float:
@@ -180,24 +229,54 @@ class PiecewiseSinusoidModel:
         return self.segments[-1].t_end
 
     def envelope_at(self, t: np.ndarray) -> np.ndarray:
-        """Envelope values at times t, edge-clamped outside the breakpoints."""
+        """Envelope values at times t, edge-clamped outside the breakpoints.
+
+        The result has the shape of ``t`` and equals
+        ``scipy.interpolate.PchipInterpolator(ts, amps)`` at the clamped
+        times bit for bit (see ``_pchip_coefficients``). It is evaluated
+        in numpy, in blocks of samples so the temporaries stay small.
+        Raises ValueError naming the span when a breakpoint slope is not
+        finite.
+        """
         ts = np.asarray([p[0] for p in self.envelope])
         amps = np.asarray([p[1] for p in self.envelope])
         if ts.size == 1:
             return np.full(np.shape(t), amps[0])
-        from scipy.interpolate import PchipInterpolator
-
-        # Breakpoints packed far closer than their amplitude steps (rates
-        # near 1e200 Hz) overflow the slopes, which scipy rejects.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            try:
-                interp = PchipInterpolator(ts, amps)
-            except ValueError as exc:
+        # The coefficients of intervals far narrower than their amplitude
+        # steps may overflow, and so may their products with the offsets:
+        # the values are then not finite, without a warning.
+        with np.errstate(all="ignore"):
+            coef = _pchip_coefficients(ts, amps)
+            if coef is None:
                 raise ValueError(
                     f"envelope slopes between breakpoints {float(ts[0])!r} and "
                     f"{float(ts[-1])!r} s are not finite"
-                ) from exc
-        return np.asarray(interp(np.clip(t, ts[0], ts[-1])))
+                )
+            x = np.asarray(t, dtype=np.float64)
+            flat = x.reshape(-1)
+            out = np.empty(flat.size)
+            last = ts.size - 2
+            for lo in range(0, flat.size, _ENVELOPE_BLOCK):
+                hi = lo + _ENVELOPE_BLOCK
+                s = np.clip(flat[lo:hi], ts[0], ts[-1])
+                # The interval holding s, as scipy's PPoly finds it: the
+                # last breakpoint at or below s, but the last interval for
+                # s at the right end.
+                i = np.searchsorted(ts, s, side="right")
+                i -= 1
+                np.minimum(i, last, out=i)
+                s -= ts[i]
+                c = coef.take(i, axis=0)
+                # PPoly's sum order: ((c3 + c2 s) + c1 (s s)) + c0 ((s s) s).
+                # It starts from 0.0 + c3, which is c3 as amplitudes are
+                # positive, and float addition commutes.
+                res = np.multiply(c[:, 1], s, out=out[lo:hi])
+                res += c[:, 0]
+                s2 = s * s
+                res += c[:, 2] * s2
+                s2 *= s
+                res += c[:, 3] * s2
+        return out.reshape(x.shape)
 
     def to_dict(self) -> dict:
         return {

@@ -35,6 +35,7 @@ land in a tail past the last real key, so no column is filtered.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,12 +91,22 @@ def _sorted_edges(
             raise ValueError("max_eps must be nonnegative")
     if enclosing:
         eps = min(eps, float(dist.max(axis=1).min()))
-    # np.nonzero yields (iu, ju) in lexicographic order, which a stable
-    # sort by value keeps among ties.
+    # np.nonzero yields (iu, ju) in lexicographic order. The default sort
+    # is several times faster than a stable one but may shuffle ties, so
+    # the edges of each run of tied values are put back in index order,
+    # the order a stable sort keeps, by one sort of the distinct keys
+    # run * len(ev) + index (below len(ev)**2, so within int64). Tied
+    # values are bit-equal (no distance is -0.0), so ev stays as sorted.
     iu, ju = np.nonzero(np.triu(dist <= eps, 1))
     ev = dist[iu, ju]
-    order = np.argsort(ev, kind="stable")
-    iu, ju, ev = iu[order], ju[order], ev[order]
+    order = np.argsort(ev)
+    ev = ev[order]
+    tied = ev[1:] == ev[:-1]
+    if tied.any():
+        run = np.cumsum(np.concatenate(([True], ~tied)))
+        pos = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
+        order[pos] = order[pos[np.argsort(run[pos] * ev.size + order[pos])]]
+    iu, ju = iu[order], ju[order]
     if ev.size:  # the longest kept edge
         _finite_distance(float(ev[-1]))
     rank = np.full(dist.shape, ev.size, dtype=np.int32)
@@ -233,6 +244,9 @@ class PersistenceInterval:
         return self.death - self.birth
 
 
+_INTERVAL_KEY = operator.attrgetter("dim", "birth", "death")
+
+
 @dataclass(frozen=True)
 class PersistenceDiagram:
     """Multiset of persistence intervals, stored in canonical order."""
@@ -240,7 +254,10 @@ class PersistenceDiagram:
     intervals: tuple[PersistenceInterval, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals", tuple(sorted(self.intervals)))
+        # The order of the intervals' generated __lt__, by a key: key tuples
+        # compare in C, not through a Python call per comparison.
+        ordered = sorted(self.intervals, key=_INTERVAL_KEY)
+        object.__setattr__(self, "intervals", tuple(ordered))
 
     def __len__(self) -> int:
         return len(self.intervals)

@@ -7,9 +7,10 @@ distance from exhaustive matching enumeration instead of binary search,
 the ellipse parameters from a least-squares conic fit. Slow is fine; these
 only ever see tiny inputs. The library's former engines
 (``bottleneck_kuhn``, ``h1_diagram_heap``, ``random_subsample_list``,
-``fit_envelope_loop``, ``split_gap_runs_loop``, ``best_phase_scan``) are
-kept too, as oracles for inputs too big for the exhaustive ones, and so
-are its per-line CSV readers (``load_csv_loop``, ``read_cloud_csv_loop``).
+``fit_envelope_loop``, ``split_gap_runs_loop``, ``best_phase_scan``,
+``envelope_pchip_scipy``) are kept too, as oracles for inputs too big for
+the exhaustive ones, and so are its per-line CSV readers
+(``load_csv_loop``, ``read_cloud_csv_loop``).
 """
 
 from __future__ import annotations
@@ -606,6 +607,24 @@ def best_phase_scan(x: np.ndarray, amps: np.ndarray, theta: np.ndarray) -> int:
     grid = 2.0 * math.pi * np.arange(_PHI_GRID) / _PHI_GRID
     errs = [float(np.sum((x - amps * np.sin(theta + phi)) ** 2)) for phi in grid]
     return int(np.argmin(errs))
+
+
+def envelope_pchip_scipy(envelope, t) -> np.ndarray | None:
+    """A model envelope at times t through ``scipy.interpolate.PchipInterpolator``.
+
+    The library's former ``envelope_at`` for two or more breakpoints.
+    Returns None where scipy rejects the breakpoint slopes as not finite.
+    """
+    from scipy.interpolate import PchipInterpolator
+
+    ts = np.asarray([p[0] for p in envelope])
+    amps = np.asarray([p[1] for p in envelope])
+    with np.errstate(all="ignore"):
+        try:
+            interp = PchipInterpolator(ts, amps)
+        except ValueError:
+            return None
+        return np.asarray(interp(np.clip(t, ts[0], ts[-1])))
 
 
 def load_csv_loop(path) -> Signal:

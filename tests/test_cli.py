@@ -994,6 +994,9 @@ calls = [
     ["persist", "sub.csv", "--max-dim", "3", "--out", "dgm3.json"],
     ["render", "report.json", "--out", "report.svg"],
     ["render", "sub.csv", "--out", "cloud.svg"],
+    ["fit", "sig.csv", "--out", "model.json"],
+    ["synth", "model.json", "--rate", "4000", "--out", "resynth.csv"],
+    ["dist", "bottleneck", "dgm.json", "dgm3.json", "--dim", "1", "--out", "dist.json"],
 ]
 codes = [run(argv) for argv in calls]
 print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
@@ -1001,9 +1004,9 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.st
 
 
 class TestImportFootprint:
-    def test_detect_path_loads_no_scipy(self, tmp_path):
-        # scipy is needed only for fitting and synthesis (PCHIP envelopes)
-        # and for the k-d tree of a large Hausdorff pair.
+    def test_commands_load_no_scipy(self, tmp_path):
+        # scipy is needed only for the k-d tree of a Hausdorff pair above
+        # the brute-force fork; PCHIP envelopes are evaluated in numpy.
         src = Path(cli_module.__file__).resolve().parents[1]
         tests = Path(__file__).resolve().parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
@@ -1016,7 +1019,7 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
-        assert result["codes"] == [0] * 10
+        assert result["codes"] == [0] * 13
         assert result["scipy"] == []
 
 

@@ -1,6 +1,7 @@
 """Piecewise-sinusoid model: synthesis, estimation, fitting, graphs."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,14 @@ from topoperiod import (
     synthesize,
 )
 from topoperiod.embedding import crossing_positions
-from topoperiod.model import _GAP_WINDOW, _PHI_GRID, _best_phase, _split_gap_runs
+from topoperiod.model import (
+    _ENVELOPE_BLOCK,
+    _GAP_WINDOW,
+    _PHI_GRID,
+    _best_phase,
+    _pchip_coefficients,
+    _split_gap_runs,
+)
 from topoperiod.subsampling import SplitMix64
 
 from fixtures import (
@@ -37,6 +45,7 @@ from fixtures import (
 )
 from oracles import (
     best_phase_scan,
+    envelope_pchip_scipy,
     fit_envelope_loop,
     split_gap_runs_loop,
     zero_crossing_times,
@@ -143,6 +152,123 @@ class TestModelConstruction:
         vals = model.envelope_at(np.array([0.0, 0.2, 0.8, 1.0]))
         assert vals[0] == vals[1] == 1.0
         assert vals[2] == vals[3] == 3.0
+
+
+def _envelope_model(envelope) -> PiecewiseSinusoidModel:
+    return PiecewiseSinusoidModel.from_periods(
+        [envelope[0][0], envelope[-1][0] + 1.0], [0.5], 0.0, envelope
+    )
+
+
+def _assert_scipy_envelope(envelope, t) -> None:
+    """envelope_at equals scipy's PCHIP at t bit for bit, or both reject it."""
+    want = envelope_pchip_scipy(envelope, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = _envelope_model(envelope).envelope_at(t)
+        except ValueError as exc:
+            assert want is None, exc
+            assert "are not finite" in str(exc)
+            return
+    assert want is not None
+    assert got.dtype == np.float64
+    assert got.shape == want.shape == np.shape(t)
+    assert got.tobytes() == want.tobytes()
+
+
+# Spacings and amplitudes that repeat, so flat runs, equal steps and both
+# end-rule branches come up; 1e305 over a 1e-6 s step overflows a slope.
+_SPACING = st.one_of(
+    st.sampled_from([1e-6, 1e-3, 0.25, 1.0, 1e3]), st.floats(1e-6, 1e3)
+)
+_AMPLITUDE = st.one_of(
+    st.sampled_from([0.5, 1.0, 1.0, 2.0, 5.0, 6.0, 1e-3, 1e305]), st.floats(0.01, 100.0)
+)
+
+
+class TestPchipEnvelope:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(
+        st.floats(-10.0, 10.0),
+        st.lists(st.tuples(_SPACING, _AMPLITUDE), min_size=1, max_size=12),
+        _AMPLITUDE,
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0, 1, 2]),
+    )
+    def test_matches_scipy_pchip(self, t0, steps, a0, seed, ndim):
+        envelope = [(t0, a0)]
+        for dt, a in steps:
+            envelope.append((envelope[-1][0] + dt, a))
+        ts = np.array([p[0] for p in envelope])
+        rng = np.random.default_rng(seed)
+        span = ts[-1] - ts[0]
+        t = np.concatenate(
+            (
+                ts,  # on the breakpoints
+                np.nextafter(ts, np.inf),
+                (ts[:-1] + ts[1:]) / 2.0,
+                rng.uniform(ts[0], ts[-1], 40),
+                [ts[0] - 1.0, ts[0] - span, ts[-1] + 1e-9, ts[-1] + span],  # outside
+            )
+        )
+        rng.shuffle(t)
+        if ndim == 0:
+            t = t[0]
+        elif ndim == 2:
+            t = t[: t.size // 2 * 2].reshape(2, -1)
+        _assert_scipy_envelope(envelope, t)
+
+    @pytest.mark.parametrize(
+        "envelope, slope",
+        [
+            # (2 h0 + h1) m0 - h0 m1 changes the sign of m0 = 0.1: zeroed.
+            ([(0.0, 1.0), (1.0, 1.1), (2.0, 5.0)], 0.0),
+            # m0 = 1 and m1 = -5 differ in sign and the estimate 4 exceeds
+            # 3 m0: clipped.
+            ([(0.0, 5.0), (1.0, 6.0), (2.0, 1.0)], 3.0),
+            # Two breakpoints: the secant slope.
+            ([(0.0, 1.0), (2.0, 2.0)], 0.5),
+            # A flat end interval.
+            ([(0.0, 2.0), (1.0, 2.0), (3.0, 1.0)], 0.0),
+        ],
+    )
+    def test_end_rule_branches(self, envelope, slope):
+        ts = np.array([p[0] for p in envelope])
+        amps = np.array([p[1] for p in envelope])
+        with np.errstate(all="ignore"):
+            assert _pchip_coefficients(ts, amps)[0, 1] == slope
+        _assert_scipy_envelope(envelope, np.linspace(-1.0, 4.0, 501))
+
+    def test_unsorted_times_over_several_blocks(self):
+        rng = np.random.default_rng(5)
+        ts = np.cumsum(rng.uniform(1e-3, 0.1, 300))
+        envelope = list(zip(ts.tolist(), rng.uniform(0.1, 2.0, 300).tolist()))
+        t = rng.uniform(ts[0] - 1.0, ts[-1] + 1.0, 2 * _ENVELOPE_BLOCK + 123)
+        _assert_scipy_envelope(envelope, t)
+
+    def test_temporaries_are_bounded(self):
+        # At 970 200 samples (22 s at 44.1 kHz) the former scipy path
+        # peaked at two sample arrays in envelope_at (the clipped times and
+        # the values) and at five in synthesize; evaluating all samples at
+        # once holds several more.
+        model = PiecewiseSinusoidModel.from_periods(
+            [0.0, 10.0, 22.0], [0.01, 0.013], 0.0, [(0.0, 0.8), (11.0, 1.0), (22.0, 0.9)]
+        )
+        t = np.arange(970_200) / 44_100.0
+        slack = 1 << 16
+        tracemalloc.start()
+        try:
+            model.envelope_at(t)
+            envelope_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            s = synthesize(model, 44_100.0)
+            synth_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == t.size
+        assert envelope_peak <= 2 * t.nbytes + slack
+        assert synth_peak <= 5 * t.nbytes + slack
 
 
 class TestSynthesize:

@@ -557,6 +557,56 @@ class TestBettiCurve:
         assert curve(2.999999) == 1
 
 
+def _assert_filtration_order(cloud: PointCloud, cut, enclosing: bool) -> np.ndarray:
+    """The kept edges are sorted by (value, iu, ju), and rank indexes them."""
+    rank, iu, ju, ev = _sorted_edges(cloud, cut, enclosing)[1:]
+    assert (np.lexsort((ju, iu, ev)) == np.arange(ev.size)).all()
+    assert (rank[iu, ju] == np.arange(ev.size)).all()
+    return ev
+
+
+class TestSortedEdges:
+    @pytest.mark.parametrize("side", [3, 5, 8, 10])
+    def test_grid_ties_keep_index_order(self, side):
+        grid = np.array([[i, j] for i in range(side) for j in range(side)], dtype=float)
+        for cut in ("auto", 1.0, math.sqrt(2.0), 3.0):
+            for enclosing in (False, True):
+                ev = _assert_filtration_order(PointCloud(grid), cut, enclosing)
+                assert (ev[1:] == ev[:-1]).any()
+
+    def test_integer_clouds_with_duplicate_points(self):
+        rng = SplitMix64(86)
+        for count in (10, 40, 90):
+            pts = np.array([[rng.below(4), rng.below(4)] for _ in range(count)], dtype=float)
+            _assert_filtration_order(PointCloud(pts), "auto", False)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.one_of(_grid_points, _half_integer_clouds, _random_clouds),
+        st.sampled_from(["auto", 0.0, 1.0, math.sqrt(2.0)]),
+        st.booleans(),
+    )
+    def test_property_order(self, points, cut, enclosing):
+        _assert_filtration_order(PointCloud(np.array(points, dtype=float)), cut, enclosing)
+
+
+class TestDiagramOrder:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.lists(
+            st.builds(
+                PersistenceInterval,
+                st.integers(0, 2),
+                st.sampled_from([0.0, 0.5, 1.0]),
+                st.sampled_from([0.5, 1.0, 2.0, math.inf]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_canonical_order_is_the_interval_order(self, intervals):
+        assert PersistenceDiagram(tuple(intervals)).intervals == tuple(sorted(intervals))
+
+
 class TestDiagramSerialization:
     def test_round_trip(self):
         cloud = _random_cloud(90, 20)
