@@ -331,7 +331,7 @@ def delay_embed(s: Signal, delay: int, dim: int = 2) -> PointCloud:
 
 def cloud_csv_text(cloud: PointCloud) -> str:
     """The CSV form of a cloud: one point per line, comma-separated."""
-    lines = [",".join(repr(float(c)) for c in row) for row in cloud.points]
+    lines = [",".join(map(repr, row)) for row in cloud.points.tolist()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

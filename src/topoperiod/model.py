@@ -305,11 +305,13 @@ def synthesize(model: PiecewiseSinusoidModel, sample_rate_hz: float) -> Signal:
     Samples fall in the half-open span [t_start, t_end); each takes the
     period and phase of the segment containing its time.
     """
-    if sample_rate_hz <= 0:
-        raise ValueError("sample rate must be positive")
     r = float(sample_rate_hz)
-    i0 = int(math.ceil(model.t_start * r - 1e-9))
-    i1 = int(math.ceil(model.t_end * r - 1e-9))
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"sample rate must be finite and positive, not {r!r}")
+    first, last = model.t_start * r - 1e-9, model.t_end * r - 1e-9
+    if not max(abs(first), abs(last)) < 2.0**63:
+        raise ValueError(f"sample rate {r!r} puts the model's sample indices past int64")
+    i0, i1 = math.ceil(first), math.ceil(last)
     if i1 - i0 < 2:
         raise ValueError("sample rate too low for the model's span")
     t = np.arange(i0, i1, dtype=np.float64) / r

@@ -15,18 +15,19 @@ sentinel past the last edge where there is no edge.
 common neighbour above a simplex's last vertex, triangles included, and
 the reduction finds the row of every facet by the dense rank of its
 vertex prefixes, the same lookup in every dimension.
-``h1_diagram`` gives dimensions 0 and 1 from the same edges, ranks and
-union-find sweep without storing triangles; the sweep stops at the last
-spanning-tree edge. Its "auto" cutoff is the enclosing radius
+``h1_diagram`` gives dimensions 0 and 1 from the same edges and ranks
+without storing triangles. Its "auto" cutoff is the enclosing radius
 ``min_i max_j d(i, j)``, not the diameter: from that radius on the
 complex is a cone on the centre point, so every later edge gives only
-zero-length bars. It builds a coboundary column only for an edge that
-is not an apparent pair: edge t=(u,v) is apparent when some w has both
-edges to u and v ranked below t, and pairs with the triangle of the
-smallest such w, which a scan of the first few vertices finds for most
-edges. A triangle is keyed by the rank of its longest edge
-times n plus the vertex opposite that edge, so its owner edge is
-``key // n``, which finds an apparent column when a reduction needs it.
+zero-length bars. One scan classifies every kept edge: edge t=(u,v) is
+an apparent pair when some w has both edges to u and v ranked below t,
+and pairs with the triangle of the smallest such w, which a test of the
+first few vertices finds for most edges. Such an edge closes a cycle,
+so the union-find sweep runs over the other edges only, and a
+coboundary column is built only for the cycle edges among them. A
+triangle is keyed by the rank of its longest edge times n plus the
+vertex opposite that edge, so its owner edge is ``key // n``, which
+finds an apparent column when a reduction needs it.
 Columns are added by XOR into one dense boolean working column indexed by
 key, so an addition needs no sort and no merge; the keys of non-triangles
 land in a tail past the last real key, so no column is filtered.
@@ -91,22 +92,15 @@ def _sorted_edges(
             raise ValueError("max_eps must be nonnegative")
     if enclosing:
         eps = min(eps, float(dist.max(axis=1).min()))
-    # np.nonzero yields (iu, ju) in lexicographic order. The default sort
-    # is several times faster than a stable one but may shuffle ties, so
-    # the edges of each run of tied values are put back in index order,
-    # the order a stable sort keeps, by one sort of the distinct keys
-    # run * len(ev) + index (below len(ev)**2, so within int64). Tied
-    # values are bit-equal (no distance is -0.0), so ev stays as sorted.
+    # np.nonzero yields (iu, ju) in lexicographic order, which a stable
+    # sort keeps among tied values. The default sort is several times
+    # faster but may shuffle ties, so a stable one re-sorts only then.
     iu, ju = np.nonzero(np.triu(dist <= eps, 1))
-    ev = dist[iu, ju]
-    order = np.argsort(ev)
-    ev = ev[order]
-    tied = ev[1:] == ev[:-1]
-    if tied.any():
-        run = np.cumsum(np.concatenate(([True], ~tied)))
-        pos = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
-        order[pos] = order[pos[np.argsort(run[pos] * ev.size + order[pos])]]
-    iu, ju = iu[order], ju[order]
+    vals = dist[iu, ju]
+    order = np.argsort(vals)
+    if (vals[order[1:]] == vals[order[:-1]]).any():
+        order = np.argsort(vals, kind="stable")
+    iu, ju, ev = iu[order], ju[order], vals[order]
     if ev.size:  # the longest kept edge
         _finite_distance(float(ev[-1]))
     rank = np.full(dist.shape, ev.size, dtype=np.int32)
@@ -415,7 +409,7 @@ def _reduce_dim(
     return pivot_col_of_row, zero_cols
 
 
-# Vertices every cycle edge is first tested against for an apparent pair;
+# Vertices every kept edge is first tested against for an apparent pair;
 # only the edges with no hit among them rescan their whole rows.
 _APPARENT_PREFIX = 8
 
@@ -426,9 +420,7 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
     Produces the same diagram as ``persistent_homology`` of a max_dim=2
     Rips filtration, but works on the coboundary side: one column per
     edge, holding the triangles that contain it, reduced in reverse
-    filtration order; a column's pivot is its smallest triangle. The
-    spanning-tree edges of the union-find sweep are dimension-0 deaths
-    and need no column.
+    filtration order; a column's pivot is its smallest triangle.
 
     The filtration stops at the enclosing radius ``r = min_i max_j
     d(i, j)`` when ``max_eps`` is "auto" (or None) or above r, not at the
@@ -444,35 +436,37 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
 
     A triangle is keyed ``rank * n + w``: the rank of its longest edge and
     the vertex opposite that edge, so its owner edge is ``key // n``. Most
-    non-tree edges t=(u,v) are apparent pairs: some w has both edges to u
-    and v ranked below t. The pivot of t is then ``t * n + w`` for the
-    smallest such w, which no column reduced before t can hold, so t pairs
-    with it as a zero-length bar and needs no column either. The first
-    few vertices are tested for every edge at once, and only the edges
-    without a hit among them are tested against every vertex.
+    edges t=(u,v) are apparent pairs: some w has both edges to u and v
+    ranked below t. The pivot of t is then ``t * n + w`` for the smallest
+    such w, which no column reduced before t can hold, so t pairs with it
+    as a zero-length bar and needs no column. The first few vertices are
+    tested for every kept edge at once, and only the edges without a hit
+    among them are tested against every vertex. An apparent edge's ends
+    are already joined through w by edges ranked below it, so it is no
+    spanning-tree edge: the union-find sweep over the other edges finds
+    the same tree, whose edges are the dimension-0 deaths.
 
-    Only the remaining edges are reduced, each in one dense GF(2) working
-    column of ``(n_edges + 1) * n`` bytes, allocated once per call: adding
-    a column XORs its keys in place, the next pivot is the first set byte
-    past the last one below ``n_edges * n``, and the touched keys are
-    cleared when the column is done. A coboundary holds one key per w;
-    where w is u or v or is not joined to both, the sentinel edge rank
-    puts its key in the last n bytes, which no pivot scan reads, so no
-    key needs filtering out. A pivot of an earlier reduced column is
-    reduced by that column: the odd-count keys of its sources, summed on
-    first use and kept in place of them. A pivot that is its owner's
-    apparent triangle is reduced by the owner's coboundary, built each
-    time, since one is rarely needed twice. Each reduced column still
-    holds all its sources until a later pivot needs it, and most never
-    do, so the peak memory is that of every source of every reduced
-    column.
+    Only the remaining cycle edges are reduced, each in one dense GF(2)
+    working column of ``(n_edges + 1) * n`` bytes, allocated once per
+    call: adding a column XORs its keys in place, the next pivot is the
+    first set byte past the last one below ``n_edges * n``, and the
+    touched keys are cleared when the column is done. A coboundary holds
+    one key per w; where w is u or v or is not joined to both, the
+    sentinel edge rank puts its key in the last n bytes, which no pivot
+    scan reads, so no key needs filtering out. A pivot of an earlier
+    reduced column is reduced by that column: the odd-count keys of its
+    sources, summed on first use and kept in place of them. A pivot that
+    is its owner's apparent triangle is reduced by the owner's
+    coboundary, built each time, since one is rarely needed twice. Each
+    reduced column still holds all its sources until a later pivot needs
+    it, and most never do, so the peak memory is that of every source of
+    every reduced column.
     """
     # Indexing rather than unpacking into ``_`` lets the distances go now.
     rank, iu, ju, ev = _sorted_edges(cloud, max_eps, enclosing=True)[1:]
     n = len(cloud)
     n_edges = int(iu.size)
     top = n_edges * n
-    out, tree_edge = _dim0(n, iu, ju, ev)
 
     def first_apparent(t: np.ndarray, width: int) -> np.ndarray:
         # For each edge of t, the first w < width whose edges to both ends
@@ -481,17 +475,16 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
         w = below.argmax(axis=1)
         return np.where(below[np.arange(t.size), w], w, -1)
 
-    # apparent_pivot[t] is t's pivot if t is an apparent pair, else -1.
-    # Blocks of edges bound the temporaries of the full-row rescan.
-    cycle_edges = np.flatnonzero(~tree_edge)
-    w = first_apparent(cycle_edges, _APPARENT_PREFIX)
-    misses = np.flatnonzero(w < 0)
+    # apparent[t] is the vertex of t's apparent triangle, or -1. Blocks of
+    # edges bound the temporaries of the full-row rescan.
+    apparent = first_apparent(np.arange(n_edges), _APPARENT_PREFIX)
+    misses = np.flatnonzero(apparent < 0)
     for start in range(0, misses.size, 512):
         block = misses[start : start + 512]
-        w[block] = first_apparent(cycle_edges[block], n)
-    apparent_pivot = np.full(n_edges, -1, dtype=np.int64)
-    hit = w >= 0
-    apparent_pivot[cycle_edges[hit]] = cycle_edges[hit] * n + w[hit]
+        apparent[block] = first_apparent(block, n)
+    # An apparent edge is no tree edge, so the sweep skips it.
+    rest = np.flatnonzero(apparent < 0)
+    out, tree_edge = _dim0(n, iu[rest], ju[rest], ev[rest])
 
     # rank * n as int64 for the keys; the int32 rank keeps the test above fast.
     rank_n = rank.astype(np.int64) * n
@@ -516,7 +509,7 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
     # nothing below it. The sentinel tail past ``top`` is never read.
     work = np.zeros(top + n, dtype=bool)
     live = work[:top]
-    for t in cycle_edges[apparent_pivot[cycle_edges] < 0][::-1].tolist():
+    for t in rest[~tree_edge][::-1].tolist():
         srcs = [coboundary(t)]
         work[srcs[0]] = True
         low = t * n
@@ -529,7 +522,7 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
                     keys, counts = np.unique(np.concatenate(pending[low]), return_counts=True)
                     pending[low] = [keys[counts % 2 == 1]]
                 other = pending[low][0]
-            elif apparent_pivot[low // n] == low:
+            elif apparent[low // n] == low % n:
                 other = coboundary(low // n)
             else:
                 break

@@ -44,7 +44,8 @@ class Signal:
         read-only view: a float64 array passed in is not copied, and it
         stays writable for its owner.
     sample_rate_hz : float
-        Positive sampling rate. Sample ``i`` sits at time ``i / rate``.
+        Finite positive sampling rate whose duration ``len / rate`` is
+        finite too. Sample ``i`` sits at time ``i / rate``.
     """
 
     samples: np.ndarray
@@ -58,11 +59,14 @@ class Signal:
             raise ValueError("a signal needs at least two samples")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
-        if not (self.sample_rate_hz > 0):
-            raise ValueError("sample rate must be positive")
+        rate = float(self.sample_rate_hz)
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"sample rate must be finite and positive, not {rate!r}")
+        if not math.isfinite(arr.size / rate):
+            raise ValueError(f"{arr.size} samples at rate {rate!r} overflow the duration")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
+        object.__setattr__(self, "sample_rate_hz", rate)
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -245,7 +249,7 @@ def signal_csv_text(s: Signal) -> str:
     ``repr`` formatting keeps the round trip through load_csv bit-exact.
     """
     lines = [f"# sample_rate={s.sample_rate_hz!r}"]
-    lines.extend(repr(float(v)) for v in s.samples)
+    lines.extend(map(repr, s.samples.tolist()))
     return "\n".join(lines) + "\n"
 
 

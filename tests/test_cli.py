@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import wave
 from pathlib import Path
 
@@ -850,6 +851,38 @@ class TestExitCodesAndErrors:
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert error_kind(proc.stderr) == "InvalidInput"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "inf-rate.csv"], ["detect", "inf-rate.csv"], ["fit", "tiny-rate.csv"],
+         ["synth", "model.json", "--rate", "1e308"], ["synth", "model.json", "--rate", "inf"],
+         ["synth", "model.json", "--rate", "nan"]],
+        ids=["fit-inf", "detect-inf", "fit-tiny", "synth-1e308", "synth-inf", "synth-nan"],
+    )
+    def test_bad_sample_rate_is_one_error_line(self, cli, tmp_path, monkeypatch, argv):
+        # A rate of inf, or one so small that 400 samples last past the
+        # largest float64, and a 4 s model whose sample index at 1e308 Hz
+        # overflows. Warnings are errors, so none may reach stderr.
+        tone = "\n".join(str(math.sin(2 * math.pi * i / 40)) for i in range(400)) + "\n"
+        for name, rate in (("inf-rate", "inf"), ("tiny-rate", "1e-310"), ("slow", "100")):
+            (tmp_path / f"{name}.csv").write_text(f"# sample_rate={rate}\n{tone}")
+        monkeypatch.chdir(tmp_path)
+        assert cli("fit", "slow.csv", "--out", "model.json")[0] == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = cli(*argv)
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+
+    @pytest.mark.parametrize("rate", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("command", ["fit", "detect", "acl", "embed"])
+    def test_extreme_finite_sample_rate_succeeds(self, cli, tmp_path, command, rate):
+        path = tmp_path / "tone.csv"
+        save_csv(Signal(np.sin(2 * np.pi * np.arange(400) / 40), float(rate)), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = cli(command, path)
+        assert code == 0 and out and err == ""
 
     @pytest.mark.parametrize("block", [0, 1, 6])
     def test_bad_wav_block_align_is_one_error_line(self, cli, tmp_path, block):

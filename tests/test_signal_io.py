@@ -83,6 +83,12 @@ class TestSignalType:
         with pytest.raises(ValueError):
             Signal(np.array([1.0, 2.0]), -1.0)
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan, 1e-310], ids=["inf", "nan", "overflow"])
+    def test_rejects_rate_without_finite_duration(self, rate):
+        # 400 samples at 1e-310 Hz last 4e312 s, past the largest float64.
+        with pytest.raises(ValueError, match="sample rate|duration"):
+            Signal(np.zeros(400), rate)
+
 
 class TestLoadWav:
     def test_16bit_mono_scaling(self, tmp_path):
