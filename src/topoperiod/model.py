@@ -23,6 +23,7 @@ Both searches in the fit are vectorized and exact:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,14 +290,41 @@ class PiecewiseSinusoidModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PiecewiseSinusoidModel":
-        segs = tuple(
-            SinusoidSegment(
-                float(s["t0"]), float(s["t1"]), float(s["period"]), float(s["phase"])
-            )
-            for s in data["segments"]
-        )
-        env = tuple((float(p["t"]), float(p["a"])) for p in data["envelope"])
-        return cls(segs, env)
+        """Inverse of ``to_dict``.
+
+        Raises ``ValueError`` naming the part when the model is not an
+        object, lacks its segments or envelope or holds them other than
+        as a list, or a segment or breakpoint is not an object, lacks a
+        key or holds a value that is not a number.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"a model must be an object, not {type(data).__name__}")
+        segs = _model_rows(data, "segments", "segment", ("t0", "t1", "period", "phase"))
+        env = _model_rows(data, "envelope", "envelope breakpoint", ("t", "a"))
+        return cls(tuple(SinusoidSegment(*row) for row in segs), tuple(env))
+
+
+def _model_rows(
+    data: dict, part: str, name: str, keys: tuple[str, ...]
+) -> list[tuple[float, ...]]:
+    """The values of ``keys`` in each row of one part of a model file."""
+    if part not in data:
+        raise ValueError(f"model lacks {part!r}")
+    rows = data[part]
+    if not isinstance(rows, list):
+        raise ValueError(f"model {part!r} must be a list, not {type(rows).__name__}")
+    get = operator.itemgetter(*keys)
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            out.append(tuple(map(float, get(row))))
+        except KeyError as exc:
+            raise ValueError(f"{name} {i} lacks {exc}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"{name} {i} must be an object with a number at each of {keys}: {row!r}"
+            ) from None
+    return out
 
 
 def synthesize(model: PiecewiseSinusoidModel, sample_rate_hz: float) -> Signal:

@@ -6,15 +6,17 @@ simplex that creates each homology class with the simplex that fills it
 in, producing birth/death intervals per dimension. Dimension 0 is handled
 with a union-find sweep (which yields the same interval multiset as
 matrix reduction, since every vertex is born at 0) and dimensions 1 and
-up with the standard boundary-matrix column reduction, processed from the
-top dimension down so columns already known to be births are cleared.
+up by reducing coboundary columns, one dimension at a time from the
+bottom up: the simplices paired one dimension below are cleared, so
+their columns are never reduced, and the top dimension is never a column.
 Both engines start from one prelude: the edges within the cutoff in
 filtration order and a matrix of each vertex pair's edge rank, with a
 sentinel past the last edge where there is no edge.
 ``rips_filtration`` grows each dimension from the one below by adding a
 common neighbour above a simplex's last vertex, triangles included, and
-the reduction finds the row of every facet by the dense rank of its
-vertex prefixes, the same lookup in every dimension.
+``persistent_homology`` finds the row of every facet by the dense rank
+of its vertex prefixes, the same lookup in every dimension, and groups
+the cofaces of each simplex from it.
 ``h1_diagram`` gives dimensions 0 and 1 from the same edges and ranks
 without storing triangles. Its "auto" cutoff is the enclosing radius
 ``min_i max_j d(i, j)``, not the diameter: from that radius on the
@@ -281,24 +283,42 @@ class PersistenceDiagram:
         """Inverse of ``to_dicts``: a null death is an essential class.
 
         Raises ``ValueError`` naming the row when a row is not an object,
+        lacks its dim or birth, its dim is not an integer of at least 0,
+        its birth or death is not a number (a bool or string is none),
         its birth is not finite, or its death is NaN, ``-Infinity`` or
         below its birth. Zero-length intervals are accepted.
         """
         return cls(tuple(_interval_from_dict(i, r) for i, r in enumerate(rows)))
 
 
+def _is_number(x: object) -> bool:
+    # A bool is an int to isinstance; JSON numbers are mostly floats.
+    return type(x) is float or (isinstance(x, (int, float)) and not isinstance(x, bool))
+
+
 def _interval_from_dict(index: int, row: object) -> PersistenceInterval:
     if not isinstance(row, dict):
         raise ValueError(f"diagram row {index} is not an object: {row!r}")
-    birth = float(row["birth"])
-    death = math.inf if row.get("death") is None else float(row["death"])
+    for key in ("dim", "birth"):
+        if key not in row:
+            raise ValueError(f"diagram row {index} lacks {key!r}: {row!r}")
+    dim, birth, death = row["dim"], row["birth"], row.get("death")
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"diagram row {index} needs an integer dim of at least 0: {row!r}")
+    if not (_is_number(birth) and (death is None or _is_number(death))):
+        raise ValueError(f"diagram row {index} needs a numeric birth and death: {row!r}")
+    try:
+        birth = float(birth)
+        death = math.inf if death is None else float(death)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"diagram row {index} has a number past float range: {row!r}") from None
     # NaN fails every comparison, so this also rejects a NaN death.
     if not (math.isfinite(birth) and birth <= death):
         raise ValueError(
             f"diagram row {index} needs a finite birth and a death that is null "
             f"or not below it: {row!r}"
         )
-    return PersistenceInterval(int(row["dim"]), birth, death)
+    return PersistenceInterval(dim, birth, death)
 
 
 def persistent_homology(filtration: Filtration) -> PersistenceDiagram:
@@ -309,48 +329,50 @@ def persistent_homology(filtration: Filtration) -> PersistenceDiagram:
     they are artifacts of the dimension cutoff and are not emitted.
     Zero-length intervals are discarded.
 
+    Dimension 0 comes from the union-find sweep. Each dimension p from 1
+    up reduces coboundary columns over GF(2), which gives the same pairs
+    as reducing boundaries (de Silva, Morozov and Vejdemo-Johansson,
+    2011): one column per p-simplex, holding the ranks of its cofaces,
+    reduced in reverse filtration order, its pivot its smallest coface.
+    The pivots of dimension p - 1 (the spanning-tree edges for p = 1)
+    are paired already, so their columns are cleared: skipped. A column
+    that keeps a pivot pairs the p-simplex with that coface; one that
+    reduces to zero is an essential p-class.
+
     Returns
     -------
     PersistenceDiagram
         Intervals sorted by (dim, birth, death), death ``inf`` for classes
         that never die within the filtration.
     """
-    edges = filtration.simplices[1]
-    edge_vals = filtration.values[1]
+    simplices, values = filtration.simplices, filtration.values
     n = filtration.n_vertices
-    out, tree_edge = _dim0(n, edges[:, 0], edges[:, 1], edge_vals)
-
-    # Dimensions >= 1: reduce boundary matrices from the top dimension
-    # down. Lows of the reduced matrix one dimension up are simplices
-    # already known to be births, so their columns are cleared (skipped).
-    cleared: set[int] = set()
-    for p in range(filtration.max_dim, 1, -1):
-        cols = filtration.simplices[p]
-        col_vals = filtration.values[p]
-        rows = filtration.simplices[p - 1]
-        row_vals = filtration.values[p - 1]
-        paired_rows, zero_cols = _reduce_dim(_facet_ranks(rows, cols, n), cleared)
-        if p < filtration.max_dim:
-            # Columns that vanished are births of p-classes; nothing one
-            # dimension up paired them (those were cleared), so they are
-            # essential.
-            out.extend(
-                PersistenceInterval(p, float(col_vals[c]), math.inf) for c in zero_cols
-            )
-        for row_rank, col_rank in paired_rows.items():
-            birth = float(row_vals[row_rank])
-            death = float(col_vals[col_rank])
+    out, cleared = _dim0(n, simplices[1][:, 0], simplices[1][:, 1], values[1])
+    for p in range(1, filtration.max_dim):
+        facet_ranks = _facet_ranks(simplices[p], simplices[p + 1], n)
+        width = facet_ranks.shape[0]
+        # Entry c * width + k names coface c's k-th facet, so a stable sort
+        # by facet rank lists each row's cofaces in ascending order.
+        order = np.argsort(facet_ranks.T.ravel(), kind="stable")
+        cofaces = (order // width).astype(np.int32)
+        counts = np.bincount(facet_ranks.ravel(), minlength=len(simplices[p]))
+        bounds = np.append(0, counts.cumsum()).tolist()
+        # A reduced column, by its pivot.
+        reduced: dict[int, np.ndarray] = {}
+        for s in np.flatnonzero(~cleared)[::-1].tolist():
+            col = cofaces[bounds[s] : bounds[s + 1]]
+            while col.size and (other := reduced.get(int(col[0]))) is not None:
+                col = np.setxor1d(col, other, assume_unique=True)
+            birth = float(values[p][s])
+            if not col.size:
+                out.append(PersistenceInterval(p, birth, math.inf))
+                continue
+            reduced[int(col[0])] = col
+            death = float(values[p + 1][col[0]])
             if death > birth:
-                out.append(PersistenceInterval(p - 1, birth, death))
-        cleared = set(paired_rows)
-
-    if filtration.max_dim >= 2:
-        # Cycle-creating edges never paired by a triangle are essential;
-        # after the triangle step, ``cleared`` holds the paired edges.
-        for r in np.nonzero(~tree_edge)[0]:
-            if int(r) not in cleared:
-                out.append(PersistenceInterval(1, float(edge_vals[r]), math.inf))
-
+                out.append(PersistenceInterval(p, birth, death))
+        cleared = np.zeros(len(simplices[p + 1]), dtype=bool)
+        cleared[list(reduced)] = True
     return PersistenceDiagram(tuple(out))
 
 
@@ -377,38 +399,6 @@ def _facet_ranks(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return row_of_key[facet_key].reshape(width, -1)
 
 
-def _reduce_dim(
-    facet_ranks: np.ndarray, skip_cols: set[int]
-) -> tuple[dict[int, int], list[int]]:
-    """Column-reduce one boundary matrix over GF(2).
-
-    ``facet_ranks[k][c]`` is the row rank of column c's k-th facet.
-    Columns are processed in filtration order as big-integer bitmasks over
-    row ranks. Returns the pairing (row rank of each pivot mapped to its
-    column rank) and the list of columns that reduced to zero.
-    """
-    pivot_col_of_row: dict[int, int] = {}
-    stored: dict[int, int] = {}
-    zero_cols: list[int] = []
-    for c, facets in enumerate(zip(*facet_ranks.tolist())):
-        if c in skip_cols:
-            continue
-        col = 0
-        for r in facets:
-            col ^= 1 << r
-        while col:
-            low = col.bit_length() - 1
-            other = stored.get(low)
-            if other is None:
-                stored[low] = col
-                pivot_col_of_row[low] = c
-                break
-            col ^= other
-        else:
-            zero_cols.append(c)
-    return pivot_col_of_row, zero_cols
-
-
 # Vertices every kept edge is first tested against for an apparent pair;
 # only the edges with no hit among them rescan their whole rows.
 _APPARENT_PREFIX = 8
@@ -418,9 +408,12 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
     """Dimension 0 and 1 persistence of a cloud without storing triangles.
 
     Produces the same diagram as ``persistent_homology`` of a max_dim=2
-    Rips filtration, but works on the coboundary side: one column per
-    edge, holding the triangles that contain it, reduced in reverse
-    filtration order; a column's pivot is its smallest triangle.
+    Rips filtration by the same coboundary reduction of the edges: one
+    column per edge, holding the triangles that contain it, reduced in
+    reverse filtration order, its pivot its smallest triangle. But it
+    works from the edge ranks alone: a triangle is a key computed when a
+    column needs it, never stored, and pairs found without a reduction
+    need no column.
 
     The filtration stops at the enclosing radius ``r = min_i max_j
     d(i, j)`` when ``max_eps`` is "auto" (or None) or above r, not at the

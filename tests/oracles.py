@@ -8,7 +8,7 @@ the ellipse parameters from a least-squares conic fit. Slow is fine; these
 only ever see tiny inputs. The library's former engines
 (``bottleneck_kuhn``, ``h1_diagram_heap``, ``random_subsample_list``,
 ``fit_envelope_loop``, ``split_gap_runs_loop``, ``best_phase_scan``,
-``envelope_pchip_scipy``) are kept too, as oracles for inputs too big for
+``envelope_pchip_scipy``, ``persistent_homology_boundary``) are kept too, as oracles for inputs too big for
 the exhaustive ones, and so are its per-line CSV readers
 (``load_csv_loop``, ``read_cloud_csv_loop``).
 """
@@ -27,9 +27,11 @@ from topoperiod.embedding import PointCloud
 from topoperiod.errors import EmptyAudioError, InsufficientPeaksError, MalformedHeaderError
 from topoperiod.model import _GAP_SHIFT, _GAP_WINDOW, _PHI_GRID
 from topoperiod.persistence import (
+    Filtration,
     PersistenceDiagram,
     PersistenceInterval,
     _dim0,
+    _facet_ranks,
     _sorted_edges,
 )
 from topoperiod.signal_io import Signal
@@ -402,6 +404,78 @@ def h1_diagram_heap(cloud, max_eps="auto") -> PersistenceDiagram:
             out.append(PersistenceInterval(1, float(ev[t]), float(ev[low // n3])))
 
     return PersistenceDiagram(tuple(out))
+
+
+def persistent_homology_boundary(filtration: Filtration) -> PersistenceDiagram:
+    """Persistence of a filtration by the library's former boundary engine.
+
+    Boundary matrices are reduced from the top dimension down, every
+    column a big-integer bitmask over facet ranks; the lows of one
+    dimension are births, so their columns are skipped one dimension
+    below. Cycle edges no triangle pairs are essential. Kept as an oracle
+    for ``persistent_homology``, which reduces coboundaries instead.
+    """
+    edges = filtration.simplices[1]
+    edge_vals = filtration.values[1]
+    n = filtration.n_vertices
+    out, tree_edge = _dim0(n, edges[:, 0], edges[:, 1], edge_vals)
+
+    cleared: set[int] = set()
+    for p in range(filtration.max_dim, 1, -1):
+        cols = filtration.simplices[p]
+        col_vals = filtration.values[p]
+        rows = filtration.simplices[p - 1]
+        row_vals = filtration.values[p - 1]
+        paired_rows, zero_cols = _reduce_boundary(_facet_ranks(rows, cols, n), cleared)
+        if p < filtration.max_dim:
+            # Nothing one dimension up paired a vanished column (those
+            # were skipped), so it is an essential p-class.
+            out.extend(
+                PersistenceInterval(p, float(col_vals[c]), math.inf) for c in zero_cols
+            )
+        for row_rank, col_rank in paired_rows.items():
+            birth = float(row_vals[row_rank])
+            death = float(col_vals[col_rank])
+            if death > birth:
+                out.append(PersistenceInterval(p - 1, birth, death))
+        cleared = set(paired_rows)
+
+    if filtration.max_dim >= 2:
+        for r in np.nonzero(~tree_edge)[0]:
+            if int(r) not in cleared:
+                out.append(PersistenceInterval(1, float(edge_vals[r]), math.inf))
+
+    return PersistenceDiagram(tuple(out))
+
+
+def _reduce_boundary(
+    facet_ranks: np.ndarray, skip_cols: set[int]
+) -> tuple[dict[int, int], list[int]]:
+    """Column-reduce one boundary matrix over GF(2) in filtration order.
+
+    Returns the pairing (row rank of each pivot mapped to its column
+    rank) and the columns that reduced to zero.
+    """
+    pivot_col_of_row: dict[int, int] = {}
+    stored: dict[int, int] = {}
+    zero_cols: list[int] = []
+    for c, facets in enumerate(zip(*facet_ranks.tolist())):
+        if c in skip_cols:
+            continue
+        col = 0
+        for r in facets:
+            col ^= 1 << r
+        while col:
+            low = col.bit_length() - 1
+            other = stored.get(low)
+            if other is None:
+                stored[low] = col
+                pivot_col_of_row[low] = c
+                break
+            col ^= other
+        else:
+            zero_cols.append(c)
+    return pivot_col_of_row, zero_cols
 
 
 def fit_conic(points: np.ndarray) -> tuple[float, float, float]:

@@ -344,9 +344,18 @@ class TestDistCommand:
             '{"dim": 1, "birth": 1.0, "death": -Infinity}',
             '{"dim": 1, "birth": 2.0, "death": 1.0}',
             "1",
+            '{"dim": 1.5, "birth": 0.0, "death": 1.0}',
+            '{"dim": true, "birth": 0.0, "death": 1.0}',
+            '{"dim": -1, "birth": 0.0, "death": 1.0}',
+            '{"dim": 1, "birth": "0.5", "death": 1.0}',
+            '{"birth": 0.0, "death": 1.0}',
+            '{"dim": 1, "death": 1.0}',
+            '{"dim": 1, "birth": 0.0, "death": false}',
+            '{"dim": 1, "birth": 0.0, "death": 1' + "0" * 400 + "}",
         ],
         ids=["nan-birth", "inf-birth", "nan-death", "minus-inf-death", "death-below-birth",
-             "not-an-object"],
+             "not-an-object", "dim-fraction", "dim-bool", "dim-negative", "birth-string",
+             "missing-dim", "missing-birth", "death-bool", "death-past-float-range"],
     )
     def test_malformed_diagram_row_is_invalid(self, cli, tmp_path, row):
         a = tmp_path / "a.json"
@@ -409,6 +418,33 @@ class TestSynthCommand:
         assert proc.returncode == 1 and proc.stdout == ""
         assert error_kind(proc.stderr) == "InvalidInput"
         assert f"({key}) must be finite" in json.loads(proc.stderr)["message"]
+
+    @pytest.mark.parametrize(
+        "reshape, message",
+        [
+            (lambda m: [m], "a model must be an object, not list"),
+            (lambda m: {"segments": m["segments"]}, "model lacks 'envelope'"),
+            (lambda m: {"envelope": m["envelope"]}, "model lacks 'segments'"),
+            (lambda m: {**m, "segments": 3}, "model 'segments' must be a list"),
+            (lambda m: {**m, "envelope": [1]}, "envelope breakpoint 0 must be an object"),
+            (lambda m: {**m, "segments": [{k: v for k, v in m["segments"][0].items()
+                                           if k != "phase"}]}, "segment 0 lacks 'phase'"),
+            (lambda m: {**m, "envelope": m["envelope"][:1] + [{"t": 1.0}]},
+             "envelope breakpoint 1 lacks 'a'"),
+            (lambda m: {**m, "segments": [{**m["segments"][0], "period": None}]},
+             "segment 0 must be an object with a number"),
+        ],
+        ids=["top-level-list", "no-envelope", "no-segments", "segments-not-list",
+             "breakpoint-not-object", "segment-without-phase", "breakpoint-without-a",
+             "null-period"],
+    )
+    def test_misshapen_model_names_the_part(self, cli, tmp_path, reshape, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(reshape(wheeze_model(1).to_dict())))
+        code, out, err = cli("synth", path, "--rate", "4000")
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+        assert message in json.loads(err)["message"]
 
 
 class TestFitCommand:

@@ -29,7 +29,13 @@ from topoperiod.persistence import _APPARENT_PREFIX, _GROW_BLOCK, _sorted_edges
 from topoperiod.subsampling import SplitMix64
 
 from fixtures import noise_signal, wheeze_model
-from oracles import diagram_multiset, h1_diagram_heap, persistent_beta1, rank_diagram
+from oracles import (
+    diagram_multiset,
+    h1_diagram_heap,
+    persistent_beta1,
+    persistent_homology_boundary,
+    rank_diagram,
+)
 
 
 def _random_cloud(seed: int, count: int, dim: int = 2) -> PointCloud:
@@ -391,6 +397,37 @@ _random_clouds = st.integers(1, 3).flatmap(
         max_size=14,
     )
 )
+
+
+def _gaussian_points(seed: int, count: int, dim: int, rounded: bool) -> np.ndarray:
+    points = np.random.default_rng(seed).normal(size=(count, dim))
+    return np.round(points, 1) if rounded else points
+
+
+# Clouds of 3-9 points: integer grids and cube corners repeat points and
+# tie distances; Gaussian clouds rounded to one decimal tie some.
+_oracle_clouds = st.one_of(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=3, max_size=9),
+    st.lists(st.tuples(*[st.integers(0, 1)] * 3), min_size=3, max_size=9),
+    st.builds(
+        _gaussian_points,
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 9),
+        st.integers(1, 3),
+        st.booleans(),
+    ),
+)
+
+
+class TestBoundaryEngineOracle:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(
+        _oracle_clouds, st.integers(1, 4), st.sampled_from(["auto", 0.0, 0.5, 1.0, 1.5])
+    )
+    def test_property_matches_the_former_boundary_engine(self, points, max_dim, cut):
+        cloud = PointCloud(np.array(points, dtype=float))
+        filtration = rips_filtration(cloud, max_dim=max_dim, max_eps=cut)
+        assert persistent_homology(filtration) == persistent_homology_boundary(filtration)
 
 
 class TestH1DiagramEnclosingRadius:
