@@ -256,15 +256,11 @@ def _cmd_fit(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _pipeline_config(args: argparse.Namespace, cfg: dict) -> PipelineConfig:
-    delay = _resolve(args, cfg, "delay", None)
-    return PipelineConfig(
-        threshold=_resolve(args, cfg, "threshold", 0.15, float),
-        subsample_size=_resolve(args, cfg, "n", 100, int),
-        seed=_resolve(args, cfg, "seed", 0, int),
-        method=_resolve(args, cfg, "method", "random", str),
-        strategy=_resolve(args, cfg, "strategy", "first-zero", str),
-        delay=None if delay is None else int(delay),
-    )
+    casts = dict(threshold=float, n=int, seed=int, method=str, strategy=str, delay=int)
+    given = {k: _resolve(args, cfg, k, None, cast) for k, cast in casts.items()}
+    given["subsample_size"] = given.pop("n")
+    # A setting that no flag, config key or TOPOPERIOD_SEED gave keeps its default.
+    return PipelineConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
@@ -371,9 +367,13 @@ def _build_parser() -> argparse.ArgumentParser:
     strategies = tuple(_FEATURES_NEEDED)
     pipeline = argparse.ArgumentParser(add_help=False)
     pipeline.add_argument(
-        "--threshold", type=float, help="significance cutoff (default 0.15)"
+        "--threshold",
+        type=float,
+        help=f"significance cutoff (default {PipelineConfig.threshold})",
     )
-    pipeline.add_argument("--n", type=int, help="subsample size (default 100)")
+    pipeline.add_argument(
+        "--n", type=int, help=f"subsample size (default {PipelineConfig.subsample_size})"
+    )
     pipeline.add_argument("--seed", type=int)
     pipeline.add_argument("--method", choices=["random", "maxmin"])
     pipeline.add_argument("--strategy", choices=strategies)

@@ -200,7 +200,7 @@ def _feature_lags(v: np.ndarray, strategy: str) -> list[int]:
     """
     if strategy == "mid-critical":
         return _critical_lags(v).tolist()
-    return np.maximum(np.rint(crossing_positions(v)), 1).astype(np.int64).tolist()
+    return np.rint(crossing_positions(v)).astype(np.int64).tolist()
 
 
 def _delay_from(lags: list[int], strategy: str, k: int) -> int:
@@ -262,11 +262,11 @@ def find_delay(s: Signal, strategy: str = "first-zero") -> int:
     Lag j of the curve is computed as ``np.dot(x[:k-j], x[j:])``, the
     same sum with the same rounding as ``np.correlate``, which calls the
     same dot routine once per lag. Lags come one at a time, and the scan
-    counts the sign changes the strategy reads: of the curve for a zero
-    crossing, of its differences for a critical point. When they are
-    enough, the lags so far are scanned as ``select_delay`` scans a full
-    curve, and the scan stops if that finds the features. So a curve
-    whose feature lies at lag j costs j + 1 dot products. A curve
+    counts the sign changes the strategy reads, as ``_sign_changes``
+    counts them: of the curve for a zero crossing, of its differences for
+    a critical point. Once they are enough, the lags so far hold the
+    features, and the scan stops and reads them as ``select_delay`` does:
+    a curve whose feature lies at lag j costs j + 1 dot products. A curve
     without the feature costs all k dot products, one call each: 1-2 us
     of call overhead per lag above what ``np.correlate`` takes, so on a
     featureless curve of a few thousand samples or fewer this is several
@@ -283,9 +283,8 @@ def find_delay(s: Signal, strategy: str = "first-zero") -> int:
     need = _FEATURES_NEEDED[strategy]
     slope = strategy == "mid-critical"
     vals = np.empty(k)
-    # The sign of the last nonzero value, or difference for a critical
-    # point, and how often it changed. Lag 0 has no difference: NaN, which
-    # counts as zero, as it does in ``_sign_changes``.
+    # The sign of the last nonzero term and how often it changed. Lag 0
+    # has no difference: NaN, which counts as zero.
     side = turns = 0
     prev = math.nan
     with np.errstate(over="ignore", invalid="ignore"):
@@ -297,12 +296,10 @@ def find_delay(s: Signal, strategy: str = "first-zero") -> int:
                 turns += side != 0
                 side = sign
                 if turns >= need:
-                    lags = _feature_lags(vals[: j + 1], strategy)
-                    if len(lags) >= need:
-                        break
-        else:
-            lags = _feature_lags(vals, strategy)
-    if not np.isfinite(vals[: j + 1]).all():
+                    break
+        vals = vals[: j + 1]
+        lags = _feature_lags(vals, strategy)
+    if not np.isfinite(vals).all():
         raise ValueError("samples must be finite")
     return _delay_from(lags, strategy, k)
 

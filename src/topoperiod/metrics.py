@@ -247,8 +247,10 @@ def bottleneck(a: PersistenceDiagram, b: PersistenceDiagram, dim: int) -> float:
     (Mendelsohn-Dulmage). Each side grows its matching with iterative
     augmenting paths over the mask ``cost <= t``, warm-started from its
     previous step. The answer is the same float the plain binary search
-    over all candidates gives.
+    over all candidates gives. Raises ValueError for a negative ``dim``.
     """
+    if dim < 0:
+        raise ValueError(f"homology dimension must be at least 0, not {dim}")
     fin_a, ess_a = _interval_arrays(a, dim)
     fin_b, ess_b = _interval_arrays(b, dim)
 

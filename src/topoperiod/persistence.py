@@ -69,19 +69,19 @@ class Filtration:
 
 def _sorted_edges(
     cloud: PointCloud, max_eps: float | str | None, enclosing: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Distances, edge ranks and the edges within the cutoff in filtration order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Edge ranks and the edges within the cutoff in filtration order.
 
-    Returns ``(dist, rank, iu, ju, ev)``: edge t joins ``iu[t] < ju[t]``
-    at value ``ev[t]``, sorted by (value, iu, ju), and the int32 matrix
+    Returns ``(rank, iu, ju, ev)``: edge t joins ``iu[t] < ju[t]`` at
+    value ``ev[t]``, sorted by (value, iu, ju), and the int32 matrix
     ``rank`` holds t at ``[iu[t], ju[t]]`` and ``[ju[t], iu[t]]`` and the
     sentinel ``len(ev)`` at every pair that is not an edge, the diagonal
-    included. "auto" (or None) as ``max_eps`` truncates nothing. With
-    ``enclosing`` the cutoff is at most the enclosing radius
-    ``min_i max_j d(i, j)``, past which only zero-length bars are born
-    (see ``h1_diagram``). Raises ValueError when a kept edge's length
-    overflows float64; a cutoff that drops every such edge keeps the
-    diagram.
+    included, so a pair's edge length is ``ev`` at its rank. "auto" (or
+    None) as ``max_eps`` truncates nothing. With ``enclosing`` the cutoff
+    is at most the enclosing radius ``min_i max_j d(i, j)``, past which
+    only zero-length bars are born (see ``h1_diagram``). Raises
+    ValueError when a kept edge's length overflows float64; a cutoff that
+    drops every such edge keeps the diagram.
     """
     if len(cloud) == 0:
         raise EmptyCloudError("cannot compute persistence of an empty cloud")
@@ -107,7 +107,7 @@ def _sorted_edges(
         _finite_distance(float(ev[-1]))
     rank = np.full(dist.shape, ev.size, dtype=np.int32)
     rank[iu, ju] = rank[ju, iu] = np.arange(ev.size, dtype=np.int32)
-    return dist, rank, iu, ju, ev
+    return rank, iu, ju, ev
 
 
 def _dim0(
@@ -165,8 +165,7 @@ def rips_filtration(
     """
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
-    dist, rank, iu, ju, ev = _sorted_edges(cloud, max_eps)
-    adj = rank < len(ev)
+    rank, iu, ju, ev = _sorted_edges(cloud, max_eps)
     n = len(cloud)
 
     simplices: list[np.ndarray] = [
@@ -176,7 +175,7 @@ def rips_filtration(
     values: list[np.ndarray] = [np.zeros(n), ev]
 
     for _ in range(2, max_dim + 1):
-        rows, vals = _grow_cliques(simplices[-1], values[-1], dist, adj)
+        rows, vals = _grow_cliques(simplices[-1], values[-1], rank, ev)
         simplices.append(rows)
         values.append(vals)
 
@@ -193,29 +192,29 @@ _GROW_BLOCK = 512
 
 
 def _grow_cliques(
-    prev: np.ndarray, prev_vals: np.ndarray, dist: np.ndarray, adj: np.ndarray
+    prev: np.ndarray, prev_vals: np.ndarray, rank: np.ndarray, ev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grow (d-1)-simplices into d-simplices by one common neighbor.
 
-    Each simplex gains every vertex above its last one that is adjacent
-    to all of its vertices; the new value is the larger of the old one
-    and the distances to the new vertex. Rows come back in filtration
-    order: by value, then lexicographically by vertices.
+    Each simplex gains every vertex above its last one whose rank to all
+    of its vertices is below the sentinel; the new value is the larger of
+    the old one and ``ev`` at the largest of those ranks. Rows come back
+    in filtration order: by value, then lexicographically by vertices.
     """
     width = prev.shape[1] + 1
-    idx = np.arange(adj.shape[0])
+    idx = np.arange(rank.shape[0])
     parts: list[np.ndarray] = [np.empty((0, width), dtype=np.int64)]
     part_vals: list[np.ndarray] = [np.empty(0)]
     for start in range(0, len(prev), _GROW_BLOCK):
         block = prev[start : start + _GROW_BLOCK]
         common = idx > block[:, -1:]
         for c in range(block.shape[1]):
-            common &= adj[block[:, c]]
+            common &= rank[block[:, c]] < len(ev)
         r, v = np.nonzero(common)
         grown = block[r]
         parts.append(np.column_stack((grown, v)))
         part_vals.append(
-            np.maximum(prev_vals[start + r], dist[grown, v[:, None]].max(axis=1))
+            np.maximum(prev_vals[start + r], ev[rank[grown, v[:, None]].max(axis=1)])
         )
     rows = np.concatenate(parts)
     vals = np.concatenate(part_vals)
@@ -377,7 +376,7 @@ def persistent_homology(filtration: Filtration) -> PersistenceDiagram:
 
 
 def _facet_ranks(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Row rank of each facet of each column, one array per dropped vertex.
+    """Row rank of each facet of each column, one dropped vertex at a time.
 
     Every row and facet is named by the dense rank of its vertex prefix,
     refined one vertex at a time as ``rank * n + vertex``, so no key
@@ -385,18 +384,21 @@ def _facet_ranks(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     rows' prefixes is missing from the filtration, a ``ValueError``.
     """
     width = cols.shape[1]
-    facets = np.concatenate([np.delete(cols, drop, axis=1) for drop in range(width)])
-    row_key = rows[:, 0]
-    facet_key = facets[:, 0]
-    for c in range(1, width - 1):
-        prefixes, row_key = np.unique(row_key * n + rows[:, c], return_inverse=True)
-        query = facet_key * n + facets[:, c]
-        facet_key = np.searchsorted(prefixes, query)
-        if not np.array_equal(np.append(prefixes, -1)[facet_key], query):
-            raise ValueError("filtration is missing a facet of one of its simplices")
-    row_of_key = np.empty(len(rows), dtype=np.int64)
-    row_of_key[row_key] = np.arange(len(rows))
-    return row_of_key[facet_key].reshape(width, -1)
+    out = np.empty((width, len(cols)), dtype=np.int64)
+    for drop in range(width):
+        facet = [c for c in range(width) if c != drop]  # columns of cols, not copied
+        row_key = rows[:, 0]
+        facet_key = cols[:, facet[0]]
+        for c in range(1, width - 1):
+            prefixes, row_key = np.unique(row_key * n + rows[:, c], return_inverse=True)
+            query = facet_key * n + cols[:, facet[c]]
+            facet_key = np.searchsorted(prefixes, query)
+            if not np.array_equal(np.append(prefixes, -1)[facet_key], query):
+                raise ValueError("filtration is missing a facet of one of its simplices")
+        row_of_key = np.empty(len(rows), dtype=np.int64)
+        row_of_key[row_key] = np.arange(len(rows))
+        out[drop] = row_of_key[facet_key]
+    return out
 
 
 # Vertices every kept edge is first tested against for an apparent pair;
@@ -455,8 +457,7 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
     it, and most never do, so the peak memory is that of every source of
     every reduced column.
     """
-    # Indexing rather than unpacking into ``_`` lets the distances go now.
-    rank, iu, ju, ev = _sorted_edges(cloud, max_eps, enclosing=True)[1:]
+    rank, iu, ju, ev = _sorted_edges(cloud, max_eps, enclosing=True)
     n = len(cloud)
     n_edges = int(iu.size)
     top = n_edges * n

@@ -318,8 +318,6 @@ def _read_table(
         except ValueError as exc:
             raise MalformedHeaderError(f"{path}:{lineno}: {label}: {line!r}") from exc
         rows.append(row)
-    if not rows:
-        return np.empty((0, 0))
     if any(len(r) != len(rows[0]) for r in rows):
         raise MalformedHeaderError(f"{path}: inconsistent coordinate counts")
     return np.asarray(rows, dtype=np.float64)

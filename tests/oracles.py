@@ -349,7 +349,7 @@ def h1_diagram_heap(cloud, max_eps="auto") -> PersistenceDiagram:
     are found as in the library; the edge prelude and union-find sweep
     are the library's own.
     """
-    _, rank, iu, ju, ev = _sorted_edges(cloud, max_eps)
+    rank, iu, ju, ev = _sorted_edges(cloud, max_eps)
     n = len(cloud)
     n_edges = int(iu.size)
     out, tree_edge = _dim0(n, iu, ju, ev)

@@ -211,6 +211,16 @@ class TestSubsampleCommand:
         assert code == 1
         assert error_kind(err) == "InvalidInput"
 
+    def test_unknown_method_from_config_is_invalid(self, cli, square_cloud, tmp_path):
+        # The flag's choices stop a bad --method; a config value reaches the command.
+        path, _ = square_cloud
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"method": "median"}))
+        code, out, err = cli("subsample", path, "--n", "2", "--config", config)
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+        assert "unknown subsample method 'median'" in json.loads(err)["message"]
+
     def test_oversized_n_reports_domain_error(self, cli, square_cloud):
         path, _ = square_cloud
         code, _, err = cli("subsample", path, "--n", "9")
@@ -326,6 +336,16 @@ class TestDistCommand:
         payload = json.loads(out)
         assert payload["distance"] is None and payload["infinite"] is True
 
+    def test_negative_dim_is_invalid(self, cli, tmp_path):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps([{"dim": 1, "birth": 1.0, "death": 2.0}]))
+        code, out, err = cli("dist", "bottleneck", a, a, "--dim", "-1")
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+        # A dimension above every row compares two empty diagrams.
+        code, out, _ = cli("dist", "bottleneck", a, a, "--dim", "7")
+        assert code == 0 and json.loads(out)["distance"] == 0.0
+
     def test_non_list_diagram_file_is_invalid(self, cli, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -433,10 +453,12 @@ class TestSynthCommand:
              "envelope breakpoint 1 lacks 'a'"),
             (lambda m: {**m, "segments": [{**m["segments"][0], "period": None}]},
              "segment 0 must be an object with a number"),
+            (lambda m: {**m, "segments": [{**m["segments"][0], "t1": m["segments"][0]["t0"]}]},
+             "segment must have positive duration"),
         ],
         ids=["top-level-list", "no-envelope", "no-segments", "segments-not-list",
              "breakpoint-not-object", "segment-without-phase", "breakpoint-without-a",
-             "null-period"],
+             "null-period", "empty-segment"],
     )
     def test_misshapen_model_names_the_part(self, cli, tmp_path, reshape, message):
         path = tmp_path / "model.json"
@@ -836,8 +858,14 @@ class TestExitCodesAndErrors:
 
     def test_bad_window_spec_is_usage_error(self, cli, sine):
         path, _ = sine
-        code, _, _ = cli("acl", path, "--window", "nonsense")
-        assert code == 2
+        for spec in ("nonsense", "a:b"):
+            code, _, _ = cli("acl", path, "--window", spec)
+            assert code == 2
+
+    def test_directory_input_is_io_error(self, cli, tmp_path):
+        code, out, err = cli("acl", tmp_path)
+        assert code == 1 and out == ""
+        assert error_kind(err) == "IOError"
 
     def test_out_of_range_window_is_domain_error(self, cli, sine):
         path, _ = sine

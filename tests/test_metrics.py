@@ -279,6 +279,9 @@ class TestBottleneck:
         b = PersistenceDiagram((PersistenceInterval(1, 0.0, 2.0),))
         assert bottleneck(a, b, 1) == 0.0
         assert bottleneck(a, b, 0) == 2.5
+        # No interval has a negative dimension, so asking for one is an error.
+        with pytest.raises(ValueError, match="at least 0"):
+            bottleneck(a, PersistenceDiagram(()), -1)
 
     def test_essential_count_mismatch_is_infinite(self):
         a = _random_diagram(2, 3, essentials=1)

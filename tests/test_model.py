@@ -280,6 +280,11 @@ class TestSynthesize:
         assert s.sample_rate_hz == 1000.0
         assert np.allclose(s.samples, np.sin(2 * np.pi * 100.0 * t), atol=1e-12)
 
+    def test_single_breakpoint_envelope_is_constant(self):
+        one = PiecewiseSinusoidModel.from_periods([0.0, 0.01], [0.01], 0.0, [(0.005, 0.5)])
+        pair = PiecewiseSinusoidModel.from_periods([0.0, 0.01], [0.01], 0.0, 0.5)
+        assert np.array_equal(synthesize(one, 1000.0).samples, synthesize(pair, 1000.0).samples)
+
     def test_boundary_continuity(self):
         # The waveform evaluated from the left and right segment formulas
         # must agree at every interior boundary.

@@ -449,8 +449,8 @@ class TestH1DiagramEnclosingRadius:
 
     def test_cutoff_above_the_radius_keeps_the_auto_edges(self):
         cloud = _random_cloud(3, 60)
-        auto = _sorted_edges(cloud, "auto", enclosing=True)[2]
-        capped = _sorted_edges(cloud, cloud.diameter(), enclosing=True)[2]
+        auto = _sorted_edges(cloud, "auto", enclosing=True)[1]
+        capped = _sorted_edges(cloud, cloud.diameter(), enclosing=True)[1]
         assert capped.size == auto.size < len(cloud) * (len(cloud) - 1) // 2
 
     def test_polygon_bar_dies_at_the_tied_enclosing_radius(self):
@@ -477,7 +477,7 @@ class TestH1DiagramEnclosingRadius:
         far[:, 0] = 100.0 + 0.1 * np.arange(_APPARENT_PREFIX)
         near = _random_cloud(86, 12).points
         cloud = PointCloud(np.vstack((far, near)))
-        rank = _sorted_edges(cloud, "auto", enclosing=True)[1]
+        rank = _sorted_edges(cloud, "auto", enclosing=True)[0]
         firsts = []
         for u, v in combinations(range(_APPARENT_PREFIX, len(cloud)), 2):
             below = np.flatnonzero(np.maximum(rank[u], rank[v]) < rank[u, v])
@@ -596,7 +596,7 @@ class TestBettiCurve:
 
 def _assert_filtration_order(cloud: PointCloud, cut, enclosing: bool) -> np.ndarray:
     """The kept edges are sorted by (value, iu, ju), and rank indexes them."""
-    rank, iu, ju, ev = _sorted_edges(cloud, cut, enclosing)[1:]
+    rank, iu, ju, ev = _sorted_edges(cloud, cut, enclosing)
     assert (np.lexsort((ju, iu, ev)) == np.arange(ev.size)).all()
     assert (rank[iu, ju] == np.arange(ev.size)).all()
     return ev

@@ -46,6 +46,13 @@ class TestBarcode:
         assert 'data-essential' not in svg
         assert 'inf-marker' not in svg
 
+    def test_all_zero_diagram_gets_a_unit_axis(self):
+        # Every birth is 0 and no death is finite, so the axis falls back
+        # to [0, 1] instead of dividing by a zero span.
+        svg = render_svg(PersistenceDiagram((PersistenceInterval(0, 0.0, math.inf),)))
+        assert svg.count('class="bar"') == 1
+        assert "nan" not in svg and "inf\"" not in svg
+
     def test_empty_diagram_rejected(self):
         with pytest.raises(EmptyArtifactError):
             render_svg(PersistenceDiagram(()))

@@ -253,8 +253,17 @@ class TestLoadWav:
 
     def test_odd_bit_depth_rejected(self, tmp_path):
         p = tmp_path / "weird.wav"
-        p.write_bytes(wav_bytes(1, 1, 1000, 12, b"\x00" * 6))
-        with pytest.raises(UnsupportedEncodingError):
+        # 12-bit PCM, and 16-bit IEEE float (tag 3), which has no decoder.
+        for fmt, bits in ((1, 12), (3, 16)):
+            p.write_bytes(wav_bytes(fmt, 1, 1000, bits, b"\x00" * 6))
+            with pytest.raises(UnsupportedEncodingError):
+                load_wav(p)
+
+    @pytest.mark.parametrize("channels, rate", [(0, 1000), (1, 0)], ids=["channels", "rate"])
+    def test_zero_channels_or_rate_is_malformed(self, tmp_path, channels, rate):
+        p = tmp_path / "zero.wav"
+        p.write_bytes(wav_bytes(1, channels, rate, 16, b"\x00" * 8))
+        with pytest.raises(MalformedHeaderError, match=f"{p}: (zero channels|nonpositive)"):
             load_wav(p)
 
     def test_empty_data_chunk(self, tmp_path):

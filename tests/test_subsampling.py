@@ -39,6 +39,10 @@ class TestSplitMix64:
     def test_streams_differ_by_seed(self):
         assert SplitMix64(1).next_u64() != SplitMix64(2).next_u64()
 
+    def test_below_rejects_an_empty_range(self):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            SplitMix64(0).below(0)
+
 
 class TestMaxmin:
     def test_three_collinear_points(self):
