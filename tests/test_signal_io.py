@@ -259,11 +259,15 @@ class TestLoadWav:
             with pytest.raises(UnsupportedEncodingError):
                 load_wav(p)
 
-    @pytest.mark.parametrize("channels, rate", [(0, 1000), (1, 0)], ids=["channels", "rate"])
-    def test_zero_channels_or_rate_is_malformed(self, tmp_path, channels, rate):
+    @pytest.mark.parametrize(
+        "channels, rate, message",
+        [(0, 1000, "zero channels"), (1, 0, "nonpositive sample rate")],
+        ids=["channels", "rate"],
+    )
+    def test_zero_channels_or_rate_is_malformed(self, tmp_path, channels, rate, message):
         p = tmp_path / "zero.wav"
         p.write_bytes(wav_bytes(1, channels, rate, 16, b"\x00" * 8))
-        with pytest.raises(MalformedHeaderError, match=f"{p}: (zero channels|nonpositive)"):
+        with pytest.raises(MalformedHeaderError, match=message):
             load_wav(p)
 
     def test_empty_data_chunk(self, tmp_path):
