@@ -18,7 +18,6 @@ from .detector import (
 from .embedding import (
     PointCloud,
     acl,
-    critical_points,
     delay_embed,
     find_delay,
     read_cloud_csv,
@@ -54,11 +53,9 @@ from .model import (
     synthesize,
 )
 from .persistence import (
-    BettiCurve,
     Filtration,
     PersistenceDiagram,
     PersistenceInterval,
-    betti_curve,
     h1_diagram,
     persistent_homology,
     rips_filtration,
@@ -70,7 +67,6 @@ from .subsampling import SplitMix64, maxmin, random_subsample
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiCurve",
     "DetectionReport",
     "DimensionMismatchError",
     "EmptyArtifactError",
@@ -99,10 +95,8 @@ __all__ = [
     "TopoperiodError",
     "UnsupportedEncodingError",
     "acl",
-    "betti_curve",
     "h1_diagram",
     "bottleneck",
-    "critical_points",
     "delay_embed",
     "detect",
     "estimate_segments",

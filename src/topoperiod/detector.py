@@ -145,13 +145,6 @@ class EvaluationResult:
     confusion: dict[str, dict[str, int]] = field(compare=False)
     reports: tuple[DetectionReport, ...] = field(compare=False, default=())
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "confusion": self.confusion,
-            "n_items": len(self.reports),
-        }
-
 
 def evaluate(
     dataset: Sequence[tuple[Signal, str]],

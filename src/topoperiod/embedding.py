@@ -63,8 +63,11 @@ class PointCloud:
 
     ``points`` is a read-only (n, m) float64 view; n may be zero.
     Coordinates must be finite. A float64 array passed in is not copied,
-    and it stays writable for its owner. The view need not be contiguous,
-    such as ``delay_embed``'s rows over the signal's samples.
+    and it stays writable for its owner. The coordinates are checked only
+    when the cloud is built; a later write through the owner's array
+    reaches the cloud unchecked and is the owner's responsibility. The
+    view need not be contiguous, such as ``delay_embed``'s rows over the
+    signal's samples.
     """
 
     points: np.ndarray
@@ -158,34 +161,34 @@ def crossing_positions(v: np.ndarray) -> np.ndarray:
     """Fractional positions where a sampled curve changes sign, in order.
 
     Between adjacent samples of opposite sign the position is linearly
-    interpolated, ``a + v[a] / (v[a] - v[a + 1])``. When the curve
-    touches zero exactly, the crossing is the index of the first zero.
+    interpolated, ``a + v[a] / (v[a] - v[a + 1])``, or, where that
+    difference overflows, ``a + 1 / (1 - v[a + 1] / v[a])``. When the
+    curve touches zero exactly, the crossing is the index of the first
+    zero.
     """
     a, b = _sign_changes(v)
     pos = (a + 1).astype(np.float64)
     adjacent = b == a + 1
     a = a[adjacent]
-    pos[adjacent] = a + v[a] / (v[a] - v[a + 1])
+    left, right = v[a], v[a + 1]
+    with np.errstate(over="ignore"):
+        gap = left - right
+        frac = left / gap
+        wide = np.isinf(gap)
+        frac[wide] = 1.0 / (1.0 - right[wide] / left[wide])
+    pos[adjacent] = a + frac
     return pos
 
 
 def _critical_lags(v: np.ndarray) -> np.ndarray:
-    """Lags where the discrete derivative of v changes sign, in order."""
-    a, b = _sign_changes(np.diff(v))
-    return np.rint((a + 1 + b) / 2).astype(np.int64)
+    """Lags where the discrete derivative of v changes sign, in order.
 
-
-def critical_points(curve: Signal) -> list[int]:
-    """Lags where the discrete derivative of an ``acl`` curve changes sign.
-
-    Runs of zero derivative are treated as a single flat extremum whose
-    midpoint lag is reported. Raises NoCriticalPointsError for monotone
-    curves.
+    A difference that overflows is an infinity of its sign, so it still
+    counts.
     """
-    crit = _critical_lags(curve.samples).tolist()
-    if not crit:
-        raise NoCriticalPointsError("curve is monotone, no critical points")
-    return crit
+    with np.errstate(over="ignore"):
+        a, b = _sign_changes(np.diff(v))
+    return np.rint((a + 1 + b) / 2).astype(np.int64)
 
 
 # How many ACL features each delay strategy reads.

@@ -433,7 +433,10 @@ def fit_envelope(s: Signal) -> np.ndarray:
     InsufficientPeaksError with fewer than two qualifying peaks.
     """
     x = s.samples
-    d = np.diff(x)
+    # A difference that overflows is an infinity of its sign, so it still
+    # counts.
+    with np.errstate(over="ignore"):
+        d = np.diff(x)
     a, b = _sign_changes(d)
     rise = d[a] > 0
     # Floor, not round: a plateau of even length keeps its left middle sample.
@@ -473,7 +476,10 @@ def _best_phase(x: np.ndarray, amps: np.ndarray, theta: np.ndarray) -> int:
     2M of the least screened error. Underflow adds at most one smallest
     subnormal per rounded product, hence the (16N + 64) tiny term. Only
     the phases inside that margin are re-scored directly; if the screen is
-    not finite, or the direct sums could overflow, every phase is.
+    not finite, or the direct sums could overflow, every phase is, on x
+    and amps divided by one power of two. That scales every term by one
+    factor exactly, so the argmin is the one of the unscaled sums, which
+    would have overflowed and tied at inf.
     """
     # A screen that overflows is caught below, so it warns about nothing.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -499,6 +505,9 @@ def _best_phase(x: np.ndarray, amps: np.ndarray, theta: np.ndarray) -> int:
         keep = np.flatnonzero(screen <= screen.min() + margin)
     else:
         keep = np.arange(_PHI_GRID)
+        top = max(float(np.abs(x).max(initial=0.0)), float(np.abs(amps).max(initial=0.0)))
+        shift = -math.frexp(top)[1]
+        x, amps = np.ldexp(x, shift), np.ldexp(amps, shift)
     errs = [float(np.sum((x - amps * np.sin(theta + phi)) ** 2)) for phi in _PHI[keep]]
     return int(keep[int(np.argmin(errs))])
 
@@ -526,9 +535,20 @@ def fit_model(s: Signal) -> PiecewiseSinusoidModel:
     probe = PiecewiseSinusoidModel.from_periods(
         boundaries, periods, 0.0, env_rows.tolist()
     )
+    x = s.samples[mask]
     amps = probe.envelope_at(t[mask])
+    if not np.isfinite(amps).all():
+        # Amplitudes near the float limit overflow the PCHIP coefficients.
+        # The interpolant is linear in the amplitudes, so fit the phase to
+        # the samples and the envelope scaled by one power of two, which
+        # is exact and leaves the argmin as it is.
+        shift = -math.frexp(float(env_rows[:, 1].max()))[1]
+        x = np.ldexp(x, shift)
+        amps = PiecewiseSinusoidModel.from_periods(
+            boundaries, periods, 0.0, (env_rows * [1.0, 2.0**shift]).tolist()
+        ).envelope_at(t[mask])
     theta = _TWO_PI * t[mask] / periods[0]
-    phi0 = float(_PHI[_best_phase(s.samples[mask], amps, theta)])
+    phi0 = float(_PHI[_best_phase(x, amps, theta)])
 
     return PiecewiseSinusoidModel.from_periods(boundaries, periods, phi0, probe.envelope)
 

@@ -533,30 +533,3 @@ def h1_diagram(cloud: PointCloud, max_eps: float | str | None = "auto") -> Persi
 
     return PersistenceDiagram(tuple(out))
 
-
-@dataclass(frozen=True)
-class BettiCurve:
-    """Betti number of one dimension as a step function of the scale."""
-
-    dim: int
-    births: np.ndarray
-    deaths: np.ndarray
-
-    def __call__(self, eps: float) -> int:
-        alive = np.searchsorted(self.births, eps, side="right")
-        dead = np.searchsorted(self.deaths, eps, side="right")
-        return int(alive - dead)
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        """Scales where the count can change, ascending and unique."""
-        finite_deaths = self.deaths[np.isfinite(self.deaths)]
-        return np.unique(np.concatenate((self.births, finite_deaths)))
-
-
-def betti_curve(diagram: PersistenceDiagram, dim: int) -> BettiCurve:
-    """Step function counting intervals with ``birth <= eps < death``."""
-    ivs = diagram.in_dim(dim)
-    births = np.sort(np.asarray([iv.birth for iv in ivs]))
-    deaths = np.sort(np.asarray([iv.death for iv in ivs]))
-    return BettiCurve(dim=dim, births=births, deaths=deaths)

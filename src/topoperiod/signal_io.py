@@ -42,7 +42,9 @@ class Signal:
     samples : np.ndarray
         Sample values, 1-D float64, at least two of them, all finite. A
         read-only view: a float64 array passed in is not copied, and it
-        stays writable for its owner.
+        stays writable for its owner. The values are checked only when
+        the signal is built; a later write through the owner's array
+        reaches the signal unchecked and is the owner's responsibility.
     sample_rate_hz : float
         Finite positive sampling rate whose duration ``len / rate`` is
         finite too. Sample ``i`` sits at time ``i / rate``.

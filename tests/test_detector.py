@@ -260,7 +260,7 @@ class TestEvaluate:
         assert result.accuracy == 1.0
         assert result.confusion["harmonic"]["harmonic"] == 10
         assert result.confusion["non-harmonic"]["non-harmonic"] == 10
-        assert result.to_dict()["n_items"] == 20
+        assert len(result.reports) == 20
 
     def test_inverted_labels_score_zero(self):
         flipped = [

@@ -18,7 +18,6 @@ from topoperiod import (
     Signal,
     SignalTooShortError,
     acl,
-    critical_points,
     delay_embed,
     find_delay,
     hausdorff,
@@ -116,20 +115,20 @@ class TestAcl:
 
 class TestCriticalPoints:
     def test_enumeration(self):
-        crit = critical_points(Signal(np.array([4.0, 1.0, 3.0, 0.0, 2.0]), 1.0))
-        assert crit == [1, 2, 3]
+        crit = embedding._critical_lags(np.array([4.0, 1.0, 3.0, 0.0, 2.0]))
+        assert crit.tolist() == [1, 2, 3]
 
     def test_monotone_curve_rejected(self):
-        with pytest.raises(NoCriticalPointsError):
-            critical_points(Signal(np.array([5.0, 4.0, 3.0, 2.0]), 1.0))
+        curve = Signal(np.array([5.0, 4.0, 3.0, 2.0]), 1.0)
+        with pytest.raises(NoCriticalPointsError, match="monotone"):
+            select_delay(curve, "mid-critical")
 
     def test_flat_extremum_reports_midpoint(self):
-        crit = critical_points(Signal(np.array([0.0, 1.0, 1.0, 1.0, 0.0]), 1.0))
-        assert crit == [2]
+        crit = embedding._critical_lags(np.array([0.0, 1.0, 1.0, 1.0, 0.0]))
+        assert crit.tolist() == [2]
 
     def test_sine_first_critical_near_half_period(self):
-        curve = acl(_sine(100, 10))
-        crit = critical_points(curve)
+        crit = embedding._critical_lags(acl(_sine(100, 10)).samples)
         assert crit[0] == pytest.approx(50, abs=1)
 
 
@@ -229,6 +228,15 @@ class TestCrossingScanner:
     def test_adjacent_values_interpolate(self):
         v = np.array([3.0, 1.0, -3.0])
         assert crossing_positions(v).tolist() == [1.25]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_difference_keeps_the_position(self):
+        # 1e308 - (-1e308) overflows; the crossing still lies halfway, as
+        # it does on the same curve scaled down.
+        v = np.array([1.0, 1e308, -1e308, 2.0])
+        assert crossing_positions(v).tolist() == [1.5, 3.0]
+        assert crossing_positions(np.ldexp(v, -10)).tolist() == [1.5, 3.0]
+        assert embedding._critical_lags(v).tolist() == [1, 2]
 
 
 class TestFindDelay:
@@ -491,11 +499,14 @@ class TestPointCloudType:
             cloud.points[0, 0] = 9.0
 
     def test_callers_array_stays_writable(self):
+        # No copy; the points are checked when the cloud is built, and a
+        # later write through the caller's array reaches the cloud unchecked.
         a = np.zeros((3, 2))
         cloud = PointCloud(a)
+        assert np.shares_memory(cloud.points, a)
         assert a.flags.writeable and not cloud.points.flags.writeable
         a[0, 0] = 1.0
-        assert a[0, 0] == 1.0
+        assert cloud.points[0, 0] == 1.0
 
     def test_diameter(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]))

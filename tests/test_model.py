@@ -436,14 +436,16 @@ class TestBestPhase:
         amps = np.full(500, 0.5)
         assert _best_phase(zeros, amps, theta) == best_phase_scan(zeros, amps, theta)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflow_falls_back_to_direct_scan(self):
+        # The direct sums would overflow and tie at phase 0. Scaled by a
+        # power of two they do not, and the huge sample picks the phase.
         theta = np.linspace(0.0, 40.0, 500)
         x = np.sin(theta)
         amps = np.ones(500)
         x[123] = amps[123] = 1e300  # the envelope follows the peak
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert _best_phase(x, amps, theta) == 0
-            assert best_phase_scan(x, amps, theta) == 0
+        scaled = best_phase_scan(np.ldexp(x, -997), np.ldexp(amps, -997), theta)
+        assert _best_phase(x, amps, theta) == scaled == 174
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(
@@ -489,6 +491,12 @@ class TestFitEnvelope:
         got = model.envelope_at(probe)
         want = 1 + 0.5 * probe
         assert np.all(np.abs(got - want) <= 0.02 * want)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_difference_keeps_the_peak(self):
+        # 1e308 - (-1e308) overflows to -inf, which still reads as a fall.
+        x = np.array([0.0, 1.0, 1e308, -1e308, 2.0, 1e308, 0.0])
+        assert fit_envelope(Signal(x, 1.0)).tolist() == [[2.0, 1e308], [5.0, 1e308]]
 
     def test_negative_signal_rejected(self):
         t = np.arange(1000) / 1000.0
@@ -599,6 +607,24 @@ class TestFitModel:
         resynth = synthesize(fitted, s.sample_rate_hz)
         d = hausdorff(graph(s), graph(resynth))
         assert d >= 0.05 * _ptp(s)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("freq", [100.0, 440.0, 700.0, 1000.0])
+    def test_fit_commutes_with_powers_of_two(self, freq):
+        # Scaling a signal by 2^k is exact, so its fit is the unit fit with
+        # the amplitudes scaled, up to where the sums or the envelope's
+        # slopes leave float64 and the fit raises ValueError. Below 2^-500
+        # the squares underflow, and the scaling is no longer exact.
+        x = np.sin(2 * np.pi * freq * np.arange(400) / 4000.0 + 0.3)
+        unit = fit_model(Signal(x, 4000.0))
+        ks = set(range(-500, 1021, 4)) | {508, 514} | set(range(1000, 1021))
+        for k in sorted(ks):
+            try:
+                fitted = fit_model(Signal(np.ldexp(x, k), 4000.0))
+            except ValueError:
+                continue
+            assert fitted.segments == unit.segments, k
+            assert fitted.envelope == tuple((t, math.ldexp(a, k)) for t, a in unit.envelope), k
 
     def test_overflowing_envelope_slopes_name_the_span(self):
         i = np.arange(4000)

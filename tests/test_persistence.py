@@ -1,4 +1,4 @@
-"""Rips filtrations, barcode reduction, Betti curves."""
+"""Rips filtrations and barcode reduction."""
 
 import math
 from itertools import combinations, product
@@ -14,7 +14,6 @@ from topoperiod import (
     PersistenceDiagram,
     PersistenceInterval,
     PointCloud,
-    betti_curve,
     delay_embed,
     find_delay,
     h1_diagram,
@@ -255,7 +254,6 @@ class TestPersistentHomology:
             cloud = _random_cloud(seed, n)
             f = rips_filtration(cloud, max_dim=n - 1)
             diagram = persistent_homology(f)
-            curves = [betti_curve(diagram, d) for d in range(n - 1)]
             values = np.unique(np.concatenate(f.values))
             probes = np.concatenate(([-(1.0)], values, values + 1e-9, [values.max() + 1]))
             for eps in probes:
@@ -263,7 +261,10 @@ class TestPersistentHomology:
                     (-1) ** d * int(np.count_nonzero(f.values[d] <= eps))
                     for d in range(n)
                 )
-                chi_homology = sum((-1) ** d * curves[d](eps) for d in range(n - 1))
+                chi_homology = sum(
+                    (-1) ** d * sum(iv.birth <= eps < iv.death for iv in diagram.in_dim(d))
+                    for d in range(n - 1)
+                )
                 assert chi_simplices == chi_homology
 
     @pytest.mark.parametrize("max_dim", [3, 4])
@@ -299,9 +300,11 @@ class TestPersistentHomology:
     def test_component_count_at_zero(self):
         cloud = _random_cloud(60, 17)
         diagram = persistent_homology(rips_filtration(cloud, max_dim=1))
-        curve = betti_curve(diagram, 0)
-        assert curve(0.0) == 17
-        samples = [curve(e) for e in np.linspace(0, 2, 40)]
+        samples = [
+            sum(iv.birth <= e < iv.death for iv in diagram.in_dim(0))
+            for e in np.linspace(0, 2, 40)
+        ]
+        assert samples[0] == 17
         assert all(a >= b for a, b in zip(samples, samples[1:]))
         assert sum(1 for iv in diagram.in_dim(0) if not iv.is_finite) == 1
 
@@ -565,33 +568,6 @@ class TestH1DiagramRankOracle:
         for cut in (1.0, math.sqrt(2.0)):
             fast = h1_diagram(PointCloud(grid), max_eps=cut)
             assert diagram_multiset(fast) == rank_diagram(grid, max_eps=cut)
-
-
-class TestBettiCurve:
-    def test_square_frozen_values(self):
-        diagram = persistent_homology(rips_filtration(_square(), max_dim=2))
-        b0 = betti_curve(diagram, 0)
-        b1 = betti_curve(diagram, 1)
-        assert b0(1.2) == 1
-        assert b1(1.2) == 1
-        assert b0(-0.1) == 0
-        assert b1(math.sqrt(2.0)) == 0
-        assert b1(2.0) == 0
-
-    def test_square_thresholds(self):
-        diagram = persistent_homology(rips_filtration(_square(), max_dim=2))
-        assert np.allclose(betti_curve(diagram, 0).thresholds, [0.0, 1.0])
-        assert np.allclose(
-            betti_curve(diagram, 1).thresholds, [1.0, math.sqrt(2.0)], atol=1e-12
-        )
-
-    def test_half_open_convention(self):
-        curve = betti_curve(
-            PersistenceDiagram((PersistenceInterval(0, 1.0, 3.0),)), 0
-        )
-        assert curve(1.0) == 1
-        assert curve(3.0) == 0
-        assert curve(2.999999) == 1
 
 
 def _assert_filtration_order(cloud: PointCloud, cut, enclosing: bool) -> np.ndarray:

@@ -59,11 +59,15 @@ class TestSignalType:
             s.samples[0] = 5.0
 
     def test_callers_array_stays_writable(self):
+        # No copy, so a long recording is held once. The samples are
+        # checked when the signal is built, and a later write through the
+        # caller's array reaches the signal unchecked.
         a = np.array([1.0, 2.0, 3.0])
         s = Signal(a, 1.0)
+        assert np.shares_memory(s.samples, a)
         assert a.flags.writeable and not s.samples.flags.writeable
         a[0] = 5.0
-        assert a[0] == 5.0
+        assert s.samples[0] == 5.0
 
     def test_rejects_2d_samples(self):
         with pytest.raises(ValueError):
