@@ -67,8 +67,10 @@ class SinusoidSegment:
     phase: float
 
 
-# SinusoidSegment fields and their keys in ``to_dict``.
+# SinusoidSegment fields, in order, and their keys in the model file.
 _SEGMENT_FIELDS = (("t_start", "t0"), ("t_end", "t1"), ("period", "period"), ("phase", "phase"))
+_SEGMENT_KEYS = tuple(key for _, key in _SEGMENT_FIELDS)
+_segment_values = operator.attrgetter(*(name for name, _ in _SEGMENT_FIELDS))
 
 
 def _pchip_coefficients(ts: np.ndarray, amps: np.ndarray) -> np.ndarray | None:
@@ -282,8 +284,7 @@ class PiecewiseSinusoidModel:
     def to_dict(self) -> dict:
         return {
             "segments": [
-                {"t0": s.t_start, "t1": s.t_end, "period": s.period, "phase": s.phase}
-                for s in self.segments
+                dict(zip(_SEGMENT_KEYS, _segment_values(s))) for s in self.segments
             ],
             "envelope": [{"t": t, "a": a} for t, a in self.envelope],
         }
@@ -299,7 +300,7 @@ class PiecewiseSinusoidModel:
         """
         if not isinstance(data, dict):
             raise ValueError(f"a model must be an object, not {type(data).__name__}")
-        segs = _model_rows(data, "segments", "segment", ("t0", "t1", "period", "phase"))
+        segs = _model_rows(data, "segments", "segment", _SEGMENT_KEYS)
         env = _model_rows(data, "envelope", "envelope breakpoint", ("t", "a"))
         return cls(tuple(SinusoidSegment(*row) for row in segs), tuple(env))
 
@@ -475,39 +476,33 @@ def _best_phase(x: np.ndarray, amps: np.ndarray, theta: np.ndarray) -> int:
     and the phase with the least direct error has a screened error within
     2M of the least screened error. Underflow adds at most one smallest
     subnormal per rounded product, hence the (16N + 64) tiny term. Only
-    the phases inside that margin are re-scored directly; if the screen is
-    not finite, or the direct sums could overflow, every phase is, on x
-    and amps divided by one power of two. That scales every term by one
-    factor exactly, so the argmin is the one of the unscaled sums, which
-    would have overflowed and tied at inf.
+    the phases inside that margin are re-scored directly.
+
+    All sums run on x and amps divided by one power of two near their
+    largest magnitude, so none can overflow. That scales every term by
+    one factor exactly, so the argmin is the one of the unscaled sums.
     """
-    # A screen that overflows is caught below, so it warns about nothing.
-    with np.errstate(over="ignore", invalid="ignore"):
-        xa = x * amps
-        a2 = amps * amps
-        sum_x2 = float(np.dot(x, x))
-        sum_a2 = float(np.dot(amps, amps))
-        ss = float(np.dot(xa, np.sin(theta)))
-        sc = float(np.dot(xa, np.cos(theta)))
-        c2 = float(np.dot(a2, np.cos(2.0 * theta)))
-        s2 = float(np.dot(a2, np.sin(2.0 * theta)))
-        screen = (
-            sum_x2
-            - 2.0 * (ss * _COS_PHI + sc * _SIN_PHI)
-            + 0.5 * (sum_a2 - c2 * _COS_2PHI + s2 * _SIN_2PHI)
-        )
-        scale = sum_x2 + sum_a2
-    if np.isfinite(screen).all() and math.isfinite(4.0 * scale):
-        n = x.size
-        theta_max = float(np.abs(theta).max(initial=0.0))
-        # 2M from the bound above, as eps = 2u.
-        margin = _EPS * (7 * n + 4 * theta_max + 160) * scale + (16 * n + 64) * _TINY
-        keep = np.flatnonzero(screen <= screen.min() + margin)
-    else:
-        keep = np.arange(_PHI_GRID)
-        top = max(float(np.abs(x).max(initial=0.0)), float(np.abs(amps).max(initial=0.0)))
-        shift = -math.frexp(top)[1]
-        x, amps = np.ldexp(x, shift), np.ldexp(amps, shift)
+    top = max(float(np.abs(x).max(initial=0.0)), float(np.abs(amps).max(initial=0.0)))
+    shift = -math.frexp(top)[1]
+    x, amps = np.ldexp(x, shift), np.ldexp(amps, shift)
+    xa = x * amps
+    a2 = amps * amps
+    sum_x2 = float(np.dot(x, x))
+    sum_a2 = float(np.dot(amps, amps))
+    ss = float(np.dot(xa, np.sin(theta)))
+    sc = float(np.dot(xa, np.cos(theta)))
+    c2 = float(np.dot(a2, np.cos(2.0 * theta)))
+    s2 = float(np.dot(a2, np.sin(2.0 * theta)))
+    screen = (
+        sum_x2
+        - 2.0 * (ss * _COS_PHI + sc * _SIN_PHI)
+        + 0.5 * (sum_a2 - c2 * _COS_2PHI + s2 * _SIN_2PHI)
+    )
+    n = x.size
+    theta_max = float(np.abs(theta).max(initial=0.0))
+    # 2M from the bound above, as eps = 2u.
+    margin = _EPS * (7 * n + 4 * theta_max + 160) * (sum_x2 + sum_a2) + (16 * n + 64) * _TINY
+    keep = np.flatnonzero(screen <= screen.min() + margin)
     errs = [float(np.sum((x - amps * np.sin(theta + phi)) ** 2)) for phi in _PHI[keep]]
     return int(keep[int(np.argmin(errs))])
 
@@ -532,25 +527,26 @@ def fit_model(s: Signal) -> PiecewiseSinusoidModel:
 
     t = s.times()
     mask = t < boundaries[1]
-    probe = PiecewiseSinusoidModel.from_periods(
-        boundaries, periods, 0.0, env_rows.tolist()
-    )
     x = s.samples[mask]
-    amps = probe.envelope_at(t[mask])
-    if not np.isfinite(amps).all():
-        # Amplitudes near the float limit overflow the PCHIP coefficients.
-        # The interpolant is linear in the amplitudes, so fit the phase to
-        # the samples and the envelope scaled by one power of two, which
-        # is exact and leaves the argmin as it is.
-        shift = -math.frexp(float(env_rows[:, 1].max()))[1]
-        x = np.ldexp(x, shift)
-        amps = PiecewiseSinusoidModel.from_periods(
-            boundaries, periods, 0.0, (env_rows * [1.0, 2.0**shift]).tolist()
-        ).envelope_at(t[mask])
-    theta = _TWO_PI * t[mask] / periods[0]
-    phi0 = float(_PHI[_best_phase(x, amps, theta)])
+    # The phase is fitted on the first segment, in times scaled by 2^a,
+    # which puts the span in [0.5, 1), and in amplitudes scaled by 2^b,
+    # which puts the largest below 1. Both scalings are exact, so every
+    # value is the unscaled one scaled and the pick does not move, but
+    # neither the envelope's PCHIP nor theta can leave float64 at any rate
+    # or amplitude a signal holds.
+    a = -math.frexp(s.duration_s)[1]
+    b = -math.frexp(max(float(np.abs(x).max()), float(env_rows[:, 1].max())))[1]
+    probe = PiecewiseSinusoidModel.from_periods(
+        [math.ldexp(boundaries[0], a), math.ldexp(boundaries[1], a)],
+        [math.ldexp(periods[0], a)],
+        0.0,
+        np.ldexp(env_rows, [a, b]).tolist(),
+    )
+    t_scaled = np.ldexp(t[mask], a)
+    theta = _TWO_PI * t_scaled / probe.segments[0].period
+    phi0 = float(_PHI[_best_phase(np.ldexp(x, b), probe.envelope_at(t_scaled), theta)])
 
-    return PiecewiseSinusoidModel.from_periods(boundaries, periods, phi0, probe.envelope)
+    return PiecewiseSinusoidModel.from_periods(boundaries, periods, phi0, env_rows.tolist())
 
 
 def graph(s: Signal | np.ndarray, sample_rate_hz: float | None = None) -> PointCloud:

@@ -486,19 +486,30 @@ class TestFitCommand:
 
     def test_overflowing_envelope_slopes_give_one_error_line(self, tmp_path):
         # At 1e200 Hz the envelope breakpoints sit 4e-200 s apart, so the
-        # slopes of a modulated tone overflow. A fresh process shows any
-        # warning that would reach stderr.
+        # slopes of a modulated tone's envelope overflow in synthesis,
+        # though the fit holds. Fresh processes show any warning that would
+        # reach stderr.
         i = np.arange(4000)
         x = (1.0 + 0.5 * np.sin(2 * np.pi * i / 997)) * np.sin(2 * np.pi * i / 40)
         path = tmp_path / "fast.csv"
+        model_path = tmp_path / "fast.json"
         save_csv(Signal(x, 1e200), path)
         src = str(Path(cli_module.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "topoperiod.cli", "fit", str(path)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "topoperiod.cli", *args],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=src),
+            )
+
+        proc = run("fit", str(path), "--out", str(model_path))
+        assert proc.returncode == 0 and proc.stderr == ""
+        model = PiecewiseSinusoidModel.from_dict(json.loads(model_path.read_text()))
+        unit = fit_model(Signal(x, 4000.0))
+        assert [seg.phase for seg in model.segments] == [seg.phase for seg in unit.segments]
+        proc = run("synth", str(model_path), "--rate", "1e200")
         assert proc.returncode == 1 and proc.stdout == ""
         assert error_kind(proc.stderr) == "InvalidInput"
         assert "dydx" not in proc.stderr and "breakpoints" in proc.stderr

@@ -611,28 +611,47 @@ class TestFitModel:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("freq", [100.0, 440.0, 700.0, 1000.0])
     def test_fit_commutes_with_powers_of_two(self, freq):
-        # Scaling a signal by 2^k is exact, so its fit is the unit fit with
-        # the amplitudes scaled, up to where the sums or the envelope's
-        # slopes leave float64 and the fit raises ValueError. Below 2^-500
-        # the squares underflow, and the scaling is no longer exact.
+        # Scaling the samples or the sample rate by 2^k is exact, so the fit
+        # is the unit fit with the amplitudes, or the times and periods,
+        # scaled. Below 2^-500 the squares underflow, and the amplitude
+        # scaling is no longer exact.
         x = np.sin(2 * np.pi * freq * np.arange(400) / 4000.0 + 0.3)
         unit = fit_model(Signal(x, 4000.0))
-        ks = set(range(-500, 1021, 4)) | {508, 514} | set(range(1000, 1021))
-        for k in sorted(ks):
-            try:
-                fitted = fit_model(Signal(np.ldexp(x, k), 4000.0))
-            except ValueError:
-                continue
+        for k in sorted(set(range(-500, 1024, 4)) | {508, 514} | set(range(1000, 1024))):
+            fitted = fit_model(Signal(np.ldexp(x, k), 4000.0))
             assert fitted.segments == unit.segments, k
             assert fitted.envelope == tuple((t, math.ldexp(a, k)) for t, a in unit.envelope), k
+        for k in range(-1000, 1001, 7):
+            fitted = fit_model(Signal(x, 4000.0 * 2.0**k))
+            assert fitted.segments == tuple(
+                SinusoidSegment(
+                    math.ldexp(seg.t_start, -k),
+                    math.ldexp(seg.t_end, -k),
+                    math.ldexp(seg.period, -k),
+                    seg.phase,
+                )
+                for seg in unit.segments
+            ), k
+            assert fitted.envelope == tuple((math.ldexp(t, -k), a) for t, a in unit.envelope), k
+        # Rates that are not powers of two round the times, but the phase
+        # is the same at every rate whose sample times float64 holds.
+        phases = [seg.phase for seg in unit.segments]
+        for e in range(-305, 308):
+            fitted = fit_model(Signal(x, 10.0**e))
+            assert [seg.phase for seg in fitted.segments] == phases, e
 
     def test_overflowing_envelope_slopes_name_the_span(self):
+        # At 1e200 Hz the envelope breakpoints sit 4e-200 s apart. The fit
+        # holds, but the slopes of its envelope overflow in synthesis.
         i = np.arange(4000)
         x = (1.0 + 0.5 * np.sin(2 * np.pi * i / 997)) * np.sin(2 * np.pi * i / 40)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            model = fit_model(Signal(x, 1e200))
+            unit = fit_model(Signal(x, 4000.0))
+            assert [seg.phase for seg in model.segments] == [seg.phase for seg in unit.segments]
             with pytest.raises(ValueError, match="between breakpoints 1e-199 and"):
-                fit_model(Signal(x, 1e200))
+                synthesize(model, 1e200)
 
 
 class TestGraph:
