@@ -90,10 +90,10 @@ def _directed_tree(p: np.ndarray, q: np.ndarray) -> float:
     sample at the same instant. ``u[i]``, the squared distance to the
     partner summed in coordinate order, bounds the squared nearest
     distance of ``p[i]`` for any two clouds. The ``_SEED_QUERIES`` (128)
-    points of largest ``u`` are queried first; the largest of their distances is
-    L, a lower bound of the answer. Then only the points with
-    ``u * (1 + 8 * dim * eps) >= L * L`` are queried, and the answer is
-    the larger of L and their maximum.
+    points of largest ``u``, or all of p if it has fewer, are queried
+    first; the largest of their distances is L, a lower bound of the
+    answer. Then only the points with ``u * (1 + 8 * dim * eps) >= L * L``
+    are queried, and the answer is the larger of L and their maximum.
 
     A skipped point's nearest distance is at most its partner distance,
     which is below L, so it cannot exceed the answer. The margin covers
@@ -111,8 +111,6 @@ def _directed_tree(p: np.ndarray, q: np.ndarray) -> float:
     # The unbalanced, uncompacted tree builds faster; the search is exact
     # whatever the tree's shape.
     tree = cKDTree(q, balanced_tree=False, compact_nodes=False)
-    if len(p) <= _SEED_QUERIES:
-        return float(tree.query(p)[0].max())
     partner = q[np.minimum(np.arange(len(p)), len(q) - 1)]
     with np.errstate(over="ignore"):
         u = p[:, 0] - partner[:, 0]
@@ -121,7 +119,8 @@ def _directed_tree(p: np.ndarray, q: np.ndarray) -> float:
             diff = p[:, k] - partner[:, k]
             diff *= diff
             u += diff
-        seeds = np.argpartition(u, len(p) - _SEED_QUERIES)[-_SEED_QUERIES:]
+        n_seeds = min(_SEED_QUERIES, len(p))
+        seeds = np.argpartition(u, len(p) - n_seeds)[-n_seeds:]
         low = float(tree.query(p[seeds])[0].max())
         rest = u * (1 + 8 * p.shape[1] * np.finfo(np.float64).eps) >= low * low
     rest[seeds] = False

@@ -52,7 +52,7 @@ _COS_2PHI, _SIN_2PHI = np.cos(2.0 * _PHI), np.sin(2.0 * _PHI)
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
-# Samples per block in ``envelope_at``: its temporaries are a few blocks,
+# Samples per block in ``_pchip_at``: its temporaries are a few blocks,
 # not a few copies of the input.
 _ENVELOPE_BLOCK = 1 << 14
 
@@ -116,6 +116,51 @@ def _pchip_coefficients(ts: np.ndarray, amps: np.ndarray) -> np.ndarray | None:
         return None
     c = (d[:-1] + d[1:] - 2 * m) / h
     return np.column_stack((amps[:-1], d[:-1], (m - d[:-1]) / h - c, c / h))
+
+
+def _pchip_at(ts: np.ndarray, amps: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The PCHIP through (ts, amps) at times t, edge-clamped, in t's shape.
+
+    Evaluated in blocks of samples so the temporaries stay small. Raises
+    ValueError naming the span when a breakpoint slope is not finite.
+    """
+    if ts.size == 1:
+        return np.full(np.shape(t), amps[0])
+    # The coefficients of intervals far narrower than their amplitude
+    # steps may overflow, and so may their products with the offsets:
+    # the values are then not finite, without a warning.
+    with np.errstate(all="ignore"):
+        coef = _pchip_coefficients(ts, amps)
+        if coef is None:
+            raise ValueError(
+                f"envelope slopes between breakpoints {float(ts[0])!r} and "
+                f"{float(ts[-1])!r} s are not finite"
+            )
+        x = np.asarray(t, dtype=np.float64)
+        flat = x.reshape(-1)
+        out = np.empty(flat.size)
+        last = ts.size - 2
+        for lo in range(0, flat.size, _ENVELOPE_BLOCK):
+            hi = lo + _ENVELOPE_BLOCK
+            s = np.clip(flat[lo:hi], ts[0], ts[-1])
+            # The interval holding s, as scipy's PPoly finds it: the last
+            # breakpoint at or below s, but the last interval for s at the
+            # right end.
+            i = np.searchsorted(ts, s, side="right")
+            i -= 1
+            np.minimum(i, last, out=i)
+            s -= ts[i]
+            c = coef.take(i, axis=0)
+            # PPoly's sum order: ((c3 + c2 s) + c1 (s s)) + c0 ((s s) s).
+            # It starts from 0.0 + c3, which is c3 as no amplitude is
+            # -0.0, and float addition commutes.
+            res = np.multiply(c[:, 1], s, out=out[lo:hi])
+            res += c[:, 0]
+            s2 = s * s
+            res += c[:, 2] * s2
+            s2 *= s
+            res += c[:, 3] * s2
+    return out.reshape(x.shape)
 
 
 def _wrap_phase(x: float) -> float:
@@ -232,54 +277,13 @@ class PiecewiseSinusoidModel:
         return self.segments[-1].t_end
 
     def envelope_at(self, t: np.ndarray) -> np.ndarray:
-        """Envelope values at times t, edge-clamped outside the breakpoints.
+        """Envelope values at times t: ``_pchip_at`` on the breakpoints.
 
-        The result has the shape of ``t`` and equals
-        ``scipy.interpolate.PchipInterpolator(ts, amps)`` at the clamped
-        times bit for bit (see ``_pchip_coefficients``). It is evaluated
-        in numpy, in blocks of samples so the temporaries stay small.
-        Raises ValueError naming the span when a breakpoint slope is not
-        finite.
+        That is ``scipy.interpolate.PchipInterpolator(ts, amps)`` at the
+        edge-clamped times bit for bit, or ValueError for a non-finite slope.
         """
-        ts = np.asarray([p[0] for p in self.envelope])
-        amps = np.asarray([p[1] for p in self.envelope])
-        if ts.size == 1:
-            return np.full(np.shape(t), amps[0])
-        # The coefficients of intervals far narrower than their amplitude
-        # steps may overflow, and so may their products with the offsets:
-        # the values are then not finite, without a warning.
-        with np.errstate(all="ignore"):
-            coef = _pchip_coefficients(ts, amps)
-            if coef is None:
-                raise ValueError(
-                    f"envelope slopes between breakpoints {float(ts[0])!r} and "
-                    f"{float(ts[-1])!r} s are not finite"
-                )
-            x = np.asarray(t, dtype=np.float64)
-            flat = x.reshape(-1)
-            out = np.empty(flat.size)
-            last = ts.size - 2
-            for lo in range(0, flat.size, _ENVELOPE_BLOCK):
-                hi = lo + _ENVELOPE_BLOCK
-                s = np.clip(flat[lo:hi], ts[0], ts[-1])
-                # The interval holding s, as scipy's PPoly finds it: the
-                # last breakpoint at or below s, but the last interval for
-                # s at the right end.
-                i = np.searchsorted(ts, s, side="right")
-                i -= 1
-                np.minimum(i, last, out=i)
-                s -= ts[i]
-                c = coef.take(i, axis=0)
-                # PPoly's sum order: ((c3 + c2 s) + c1 (s s)) + c0 ((s s) s).
-                # It starts from 0.0 + c3, which is c3 as amplitudes are
-                # positive, and float addition commutes.
-                res = np.multiply(c[:, 1], s, out=out[lo:hi])
-                res += c[:, 0]
-                s2 = s * s
-                res += c[:, 2] * s2
-                s2 *= s
-                res += c[:, 3] * s2
-        return out.reshape(x.shape)
+        ts, amps = np.asarray(self.envelope).T
+        return _pchip_at(ts, amps, t)
 
     def to_dict(self) -> dict:
         return {
@@ -536,15 +540,10 @@ def fit_model(s: Signal) -> PiecewiseSinusoidModel:
     # or amplitude a signal holds.
     a = -math.frexp(s.duration_s)[1]
     b = -math.frexp(max(float(np.abs(x).max()), float(env_rows[:, 1].max())))[1]
-    probe = PiecewiseSinusoidModel.from_periods(
-        [math.ldexp(boundaries[0], a), math.ldexp(boundaries[1], a)],
-        [math.ldexp(periods[0], a)],
-        0.0,
-        np.ldexp(env_rows, [a, b]).tolist(),
-    )
     t_scaled = np.ldexp(t[mask], a)
-    theta = _TWO_PI * t_scaled / probe.segments[0].period
-    phi0 = float(_PHI[_best_phase(np.ldexp(x, b), probe.envelope_at(t_scaled), theta)])
+    amps = _pchip_at(np.ldexp(env_rows[:, 0], a), np.ldexp(env_rows[:, 1], b), t_scaled)
+    theta = _TWO_PI * t_scaled / math.ldexp(periods[0], a)
+    phi0 = float(_PHI[_best_phase(np.ldexp(x, b), amps, theta)])
 
     return PiecewiseSinusoidModel.from_periods(boundaries, periods, phi0, env_rows.tolist())
 

@@ -8,11 +8,14 @@ stderr, option precedence, and byte determinism are covered here too.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 import wave
 from pathlib import Path
@@ -853,6 +856,45 @@ class TestRenderCommand:
         assert error_kind(err) == "InvalidInput"
 
 
+@st.composite
+def _float_range_inputs(draw):
+    """A signal, its rate, a cloud and a subsample size at a drawn scale.
+
+    The signal is a tone, uniform noise or a tone whose second half has
+    peaks 10^b instead of 10^k; the cloud has 1-16 points in 1-3
+    dimensions, so the explicit engine stays small.
+    """
+    n = draw(st.integers(2, 400))
+    rate = 10.0 ** draw(st.integers(-300, 300))
+    kind = draw(st.sampled_from(["tone", "noise", "two-level"]))
+    k = draw(st.integers(-320, 308))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "noise":
+        x = rng.uniform(-1.0, 1.0, n)
+    else:
+        x = np.sin(2 * np.pi * rng.uniform(0.02, 0.3) * np.arange(n) + rng.uniform(0, 2 * np.pi))
+    scale = np.full(n, 10.0**k)
+    if kind == "two-level":
+        scale[n // 2 :] = 10.0 ** draw(st.integers(-320, k))
+    m = draw(st.integers(1, 16))
+    points = rng.uniform(-1.0, 1.0, (m, draw(st.integers(1, 3))))
+    points *= 10.0 ** draw(st.integers(-320, 308))
+    return x * scale, rate, points, draw(st.integers(1, m + 2))
+
+
+def _ends_cleanly(argv) -> bool:
+    """Run the CLI in process: True on exit 0, else check the one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([str(a) for a in argv])
+    if code == 0:
+        assert err.getvalue() == "", argv
+        return True
+    assert code == 1 and out.getvalue() == "", argv
+    assert error_kind(err.getvalue()) != "InternalError", (argv, err.getvalue())
+    return False
+
+
 class TestExitCodesAndErrors:
     def test_missing_file_error_shape(self, cli, tmp_path):
         code, out, err = cli("acl", tmp_path / "absent.csv")
@@ -958,6 +1000,33 @@ class TestExitCodesAndErrors:
             warnings.simplefilter("error")
             code, out, err = cli(command, path)
         assert code == 0 and out and err == ""
+
+    @settings(max_examples=600, deadline=None, database=None, derandomize=True)
+    @given(_float_range_inputs())
+    def test_every_command_ends_cleanly_across_the_float_range(self, inputs):
+        # Tones, noise, two-level tones and clouds from 10^-320 to 10^308,
+        # at rates from 1e-300 to 1e300: each command either succeeds or
+        # ends as one JSON error line of a named kind, with no warning.
+        x, rate, points, n_sub = inputs
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = Path(tmp)
+            sig, cloud, sub = d / "sig.csv", d / "cloud.csv", d / "sub.csv"
+            model, dgms = d / "model.json", [d / "d2.json", d / "d3.json"]
+            sig.write_text(signal_csv_text(Signal(x, rate)))
+            write_cloud_csv(PointCloud(points), cloud)
+            for argv in (["acl", sig], ["acl", "--literal", sig], ["embed", sig], ["detect", sig]):
+                _ends_cleanly(argv)
+            if _ends_cleanly(["fit", sig, "--out", model]):
+                _ends_cleanly(["synth", model, "--rate", repr(rate)])
+            ok = [
+                _ends_cleanly(["persist", cloud, "--out", dgms[0]]),
+                _ends_cleanly(["persist", cloud, "--max-dim", "3", "--out", dgms[1]]),
+            ]
+            if all(ok):
+                _ends_cleanly(["dist", "bottleneck", *dgms])
+            if _ends_cleanly(["subsample", cloud, "--n", n_sub, "--out", sub]):
+                _ends_cleanly(["dist", "hausdorff", cloud, sub])
 
     @pytest.mark.parametrize("block", [0, 1, 6])
     def test_bad_wav_block_align_is_one_error_line(self, cli, tmp_path, block):
@@ -1105,6 +1174,7 @@ calls = [
     ["fit", "sig.csv", "--out", "model.json"],
     ["synth", "model.json", "--rate", "4000", "--out", "resynth.csv"],
     ["dist", "bottleneck", "dgm.json", "dgm3.json", "--dim", "1", "--out", "dist.json"],
+    ["dist", "hausdorff", "sub.csv", "rsub.csv", "--out", "hdist.json"],
 ]
 codes = [run(argv) for argv in calls]
 print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
@@ -1114,7 +1184,8 @@ print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.st
 class TestImportFootprint:
     def test_commands_load_no_scipy(self, tmp_path):
         # scipy is needed only for the k-d tree of a Hausdorff pair above
-        # the brute-force fork; PCHIP envelopes are evaluated in numpy.
+        # the brute-force fork, so a small dist hausdorff loads none; PCHIP
+        # envelopes are evaluated in numpy.
         src = Path(cli_module.__file__).resolve().parents[1]
         tests = Path(__file__).resolve().parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
@@ -1127,7 +1198,7 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
-        assert result["codes"] == [0] * 13
+        assert result["codes"] == [0] * 14
         assert result["scipy"] == []
 
 

@@ -52,6 +52,22 @@ from oracles import (
 )
 
 
+def _tone(freq: float) -> np.ndarray:
+    """400 samples of a phase-0.3 tone at 4 kHz."""
+    return np.sin(2 * np.pi * freq * np.arange(400) / 4000.0 + 0.3)
+
+
+def _two_level_tone() -> np.ndarray:
+    """A 440 Hz tone at 4 kHz: 400 samples of peak 1e300, then 400 of peak 1e-30.
+
+    Scaled so the largest peak is near 1, the small peaks round to 0.
+    """
+    x = np.sin(2 * np.pi * 440.0 * np.arange(800) / 4000.0 + 0.3)
+    x[:400] *= 1e300
+    x[400:] *= 1e-30
+    return x
+
+
 def _ptp(s: Signal) -> float:
     return float(s.samples.max() - s.samples.min())
 
@@ -609,15 +625,21 @@ class TestFitModel:
         assert d >= 0.05 * _ptp(s)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("freq", [100.0, 440.0, 700.0, 1000.0])
-    def test_fit_commutes_with_powers_of_two(self, freq):
+    @pytest.mark.parametrize(
+        "x",
+        [_tone(100.0), _tone(440.0), _tone(700.0), _tone(1000.0), _two_level_tone()],
+        ids=["100.0", "440.0", "700.0", "1000.0", "two-level"],
+    )
+    def test_fit_commutes_with_powers_of_two(self, x):
         # Scaling the samples or the sample rate by 2^k is exact, so the fit
         # is the unit fit with the amplitudes, or the times and periods,
-        # scaled. Below 2^-500 the squares underflow, and the amplitude
-        # scaling is no longer exact.
-        x = np.sin(2 * np.pi * freq * np.arange(400) / 4000.0 + 0.3)
+        # scaled. The amplitude axis takes every k that keeps each nonzero
+        # sample normal and finite.
         unit = fit_model(Signal(x, 4000.0))
-        for k in sorted(set(range(-500, 1024, 4)) | {508, 514} | set(range(1000, 1024))):
+        exps = [math.frexp(v)[1] for v in np.abs(x[x != 0]).tolist()]
+        lo, hi = -1021 - min(exps), 1024 - max(exps)
+        ks = set(range(lo, hi + 1, 4)) | set(range(lo, lo + 24)) | set(range(hi - 23, hi + 1))
+        for k in sorted(ks):
             fitted = fit_model(Signal(np.ldexp(x, k), 4000.0))
             assert fitted.segments == unit.segments, k
             assert fitted.envelope == tuple((t, math.ldexp(a, k)) for t, a in unit.envelope), k
