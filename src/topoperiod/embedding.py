@@ -57,6 +57,17 @@ def _finite_distance(d: float) -> float:
     return d
 
 
+def _unit_shift(*arrays: np.ndarray) -> int:
+    """The exponent k for which 2^k times the largest magnitude lies in [0.5, 1).
+
+    0 when every value is 0. Scaling by ``np.ldexp(a, k)`` is exact for
+    every value that stays normal, so a kernel whose answer is an index
+    can run on the scaled copy without overflowing.
+    """
+    top = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+    return -math.frexp(top)[1]
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """A finite set of points in a common ambient dimension.
@@ -251,16 +262,23 @@ def select_delay(curve: Signal, strategy: str = "first-zero") -> int:
 
     This scans a full curve from ``acl``. ``detect`` and ``embed --delay
     auto`` use ``find_delay`` instead, which gives the same delay, or the
-    same error, from a scan that stops at the strategy's feature. Both
-    use direct sums, not an FFT, whose different rounding could move a
-    zero crossing and with it the delay.
+    same error, from a scan that stops at the strategy's feature, wherever
+    ``acl(s)`` is finite and no lag product is subnormal (it scans in
+    power-of-two units, so it answers beyond that too). Both use direct
+    sums, not an FFT, whose different rounding could move a zero crossing
+    and with it the delay.
     """
     _check_strategy(strategy)
     return _delay_from(_feature_lags(curve.samples, strategy), strategy, len(curve))
 
 
 def find_delay(s: Signal, strategy: str = "first-zero") -> int:
-    """The delay ``select_delay(acl(s), strategy)`` picks, from one scan.
+    """The delay ``select_delay(acl(s'), strategy)`` picks, from one scan.
+
+    ``s'`` is ``s`` scaled by the power of two that puts its largest
+    magnitude in [0.5, 1), so no lag sum can overflow. The scaling is
+    exact, so this is also ``select_delay(acl(s))`` wherever that curve
+    is finite and no lag product is subnormal.
 
     Lag j of the curve is computed as ``np.dot(x[:k-j], x[j:])``, the
     same sum with the same rounding as ``np.correlate``, which calls the
@@ -274,14 +292,11 @@ def find_delay(s: Signal, strategy: str = "first-zero") -> int:
     of call overhead per lag above what ``np.correlate`` takes, so on a
     featureless curve of a few thousand samples or fewer this is several
     times slower than ``acl``. The errors, messages included, are those
-    of ``select_delay(acl(s))``, because the last prefix is the full
-    curve. That holds for overflow too: lag 0 is the largest sum,
-    ``sum x_l^2``, so when any sum overflows it does, and the scan raises
-    the ``ValueError("samples must be finite")`` that ``acl``'s
-    ``Signal`` check raises.
+    of ``select_delay(acl(s'))``, because the last prefix is the full
+    curve.
     """
     _check_strategy(strategy)
-    x = s.samples
+    x = np.ldexp(s.samples, _unit_shift(s.samples))
     k = x.size
     need = _FEATURES_NEEDED[strategy]
     slope = strategy == "mid-critical"
@@ -290,21 +305,16 @@ def find_delay(s: Signal, strategy: str = "first-zero") -> int:
     # has no difference: NaN, which counts as zero.
     side = turns = 0
     prev = math.nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(k):
-            v = vals[j] = float(np.dot(x[: k - j], x[j:]))
-            term, prev = (v - prev if slope else v), v
-            sign = (term > 0) - (term < 0)
-            if sign and sign != side:
-                turns += side != 0
-                side = sign
-                if turns >= need:
-                    break
-        vals = vals[: j + 1]
-        lags = _feature_lags(vals, strategy)
-    if not np.isfinite(vals).all():
-        raise ValueError("samples must be finite")
-    return _delay_from(lags, strategy, k)
+    for j in range(k):
+        v = vals[j] = float(np.dot(x[: k - j], x[j:]))
+        term, prev = (v - prev if slope else v), v
+        sign = (term > 0) - (term < 0)
+        if sign and sign != side:
+            turns += side != 0
+            side = sign
+            if turns >= need:
+                break
+    return _delay_from(_feature_lags(vals[: j + 1], strategy), strategy, k)
 
 
 def delay_embed(s: Signal, delay: int, dim: int = 2) -> PointCloud:

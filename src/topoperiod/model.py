@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .embedding import PointCloud, _sign_changes, crossing_positions
+from .embedding import PointCloud, _sign_changes, _unit_shift, crossing_positions
 from .errors import (
     InsufficientPeaksError,
     NoZeroCrossingsError,
@@ -486,8 +486,7 @@ def _best_phase(x: np.ndarray, amps: np.ndarray, theta: np.ndarray) -> int:
     largest magnitude, so none can overflow. That scales every term by
     one factor exactly, so the argmin is the one of the unscaled sums.
     """
-    top = max(float(np.abs(x).max(initial=0.0)), float(np.abs(amps).max(initial=0.0)))
-    shift = -math.frexp(top)[1]
+    shift = _unit_shift(x, amps)
     x, amps = np.ldexp(x, shift), np.ldexp(amps, shift)
     xa = x * amps
     a2 = amps * amps
@@ -539,7 +538,7 @@ def fit_model(s: Signal) -> PiecewiseSinusoidModel:
     # neither the envelope's PCHIP nor theta can leave float64 at any rate
     # or amplitude a signal holds.
     a = -math.frexp(s.duration_s)[1]
-    b = -math.frexp(max(float(np.abs(x).max()), float(env_rows[:, 1].max())))[1]
+    b = _unit_shift(x, env_rows[:, 1])
     t_scaled = np.ldexp(t[mask], a)
     amps = _pchip_at(np.ldexp(env_rows[:, 0], a), np.ldexp(env_rows[:, 1], b), t_scaled)
     theta = _TWO_PI * t_scaled / math.ldexp(periods[0], a)
@@ -548,20 +547,6 @@ def fit_model(s: Signal) -> PiecewiseSinusoidModel:
     return PiecewiseSinusoidModel.from_periods(boundaries, periods, phi0, env_rows.tolist())
 
 
-def graph(s: Signal | np.ndarray, sample_rate_hz: float | None = None) -> PointCloud:
-    """The signal's graph {(t_i, x_i)} as a 2-D point cloud.
-
-    Accepts a Signal (rate taken from it) or a bare sample array with an
-    optional rate, defaulting to 1 Hz. An empty array gives an empty
-    cloud.
-    """
-    if isinstance(s, Signal):
-        samples = s.samples
-        rate = s.sample_rate_hz
-    else:
-        samples = np.asarray(s, dtype=np.float64)
-        rate = float(sample_rate_hz) if sample_rate_hz is not None else 1.0
-    if samples.size == 0:
-        return PointCloud(np.empty((0, 2)))
-    t = np.arange(samples.size, dtype=np.float64) / rate
-    return PointCloud(np.column_stack((t, samples)))
+def graph(s: Signal) -> PointCloud:
+    """The signal's graph {(t_i, x_i)} as a 2-D point cloud."""
+    return PointCloud(np.column_stack((s.times(), s.samples)))

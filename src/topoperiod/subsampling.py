@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embedding import PointCloud
+from .embedding import PointCloud, _unit_shift
 from .errors import NTooLargeError
 
 _MASK64 = (1 << 64) - 1
@@ -58,28 +58,26 @@ def maxmin(cloud: PointCloud, n: int, seed: int = 0) -> PointCloud:
     maximizes the distance to everything already chosen, ties resolved
     toward the lowest index. The result spreads points close to evenly
     over the cloud, so it covers the cloud at least as well as a random
-    pick of the same size on average. Raises ValueError when a distance
-    it computes overflows float64.
+    pick of the same size on average. Distances are taken on the cloud
+    scaled by the power of two that puts its largest coordinate magnitude
+    in [0.5, 1), so none overflows, and the picks are those of the
+    unscaled cloud wherever its squared distances stay normal; the rows
+    returned are the cloud's own.
     """
     total = _checked_total(cloud, n)
     pts = cloud.points
+    unit = np.ldexp(pts, _unit_shift(pts))
     rng = SplitMix64(seed)
     chosen = [rng.below(total)]
     # Kept on np.linalg.norm rather than embedding.pairwise: the norm sums
     # 8 or more coordinates pairwise, not in order, so on clouds of 8+
     # dimensions the two differ in the last bit, and switching could
     # change which points are picked, and with them the subsample's bytes.
-    # Coordinates are finite, so a norm is inf only by overflow; that
-    # raises rather than sending argmax to the first infinite distance.
-    try:
-        with np.errstate(over="raise"):
-            mind = np.linalg.norm(pts - pts[chosen[0]], axis=1)
-            for _ in range(n - 1):
-                nxt = int(np.argmax(mind))  # argmax takes the first max: lowest index
-                chosen.append(nxt)
-                np.minimum(mind, np.linalg.norm(pts - pts[nxt], axis=1), out=mind)
-    except FloatingPointError:
-        raise ValueError("distance overflow: points about 1e154 or more apart") from None
+    mind = np.linalg.norm(unit - unit[chosen[0]], axis=1)
+    for _ in range(n - 1):
+        nxt = int(np.argmax(mind))  # argmax takes the first max: lowest index
+        chosen.append(nxt)
+        np.minimum(mind, np.linalg.norm(unit - unit[nxt], axis=1), out=mind)
     return PointCloud(pts[chosen])
 
 

@@ -140,6 +140,23 @@ class TestEmbedCommand:
         delay = select_delay(acl(s), "mid-critical")
         assert out.splitlines()[0] == f"# delay={delay} dim=2 strategy=mid-critical"
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("strategy", ["first-zero", "second-zero", "mid-critical"])
+    def test_scaled_tone_prints_the_unit_header(self, cli, sine, tmp_path, scale, strategy):
+        # The delay is scanned in power-of-two units: a tone whose lag
+        # sums overflow, or whose lag products underflow, gets the delay
+        # of the unit tone, without a warning.
+        path, s = sine
+        scaled = tmp_path / "scaled.csv"
+        save_csv(Signal(scale * s.samples, s.sample_rate_hz), scaled)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, unit, _ = cli("embed", path, "--strategy", strategy)
+            assert code == 0
+            code, out, err = cli("embed", scaled, "--strategy", strategy)
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == unit.splitlines()[0]
+
     def test_embed_output_reads_back_as_cloud(self, cli, sine, tmp_path):
         path, s = sine
         dest = tmp_path / "cloud.csv"
@@ -943,9 +960,9 @@ class TestExitCodesAndErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["acl", "sine.csv"], ["acl", "--literal", "sine.csv"], ["embed", "sine.csv"],
+        [["acl", "sine.csv"], ["acl", "--literal", "sine.csv"],
          ["persist", "cloud.csv"], ["dist", "hausdorff", "near.csv", "far.csv"]],
-        ids=["acl", "acl-literal", "embed", "persist", "hausdorff"],
+        ids=["acl", "acl-literal", "persist", "hausdorff"],
     )
     def test_overflow_is_one_error_line(self, tmp_path, argv):
         # A 100 Hz tone at 4 kHz and amplitude 1e200, whose lag sums and

@@ -322,22 +322,35 @@ class TestFindDelay:
         with pytest.raises(ValueError, match="unknown delay strategy"):
             find_delay(_sine(100, 2), "third-zero")
 
-    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-    @given(
-        log_amp=st.floats(140.0, 308.0),
-        period=st.integers(8, 60),
-        phase=st.floats(0.0, 6.3),
+    @pytest.mark.parametrize(
+        "s",
+        [
+            _sine(40, 10, rate=4000.0),
+            _sine(23, 9, amp=3.0, phase=0.7),
+            _sine(100, 8),
+            noise_signal(NOISE_SEEDS[0], 600),
+            gauss_noise(GAUSS_SEEDS[0], 600),
+            Signal(np.round(50.0 * np.sin(np.arange(500) * 0.09)), 1.0),
+            Signal(np.array([3.0, -7.0, 0.0, 12.0, 5.0, -1.0, 0.0, -9.0] * 40), 1.0),
+            Signal(1.0 + 0.5 * np.sin(np.arange(120) * 0.01), 1.0),
+        ],
+        ids=["tone", "tone-phase", "long-period", "noise", "gauss", "rounded-tone",
+             "integers", "no-crossing"],
     )
-    def test_overflowing_lag_sums_raise_as_the_full_curve_does(self, log_amp, period, phase):
-        # From about amplitude 1e152 on, the 400-sample tone's lag sums
-        # overflow float64, and acl's Signal check rejects the curve.
-        s = _sine(period, 400 // period, amp=10.0**log_amp, phase=phase, rate=4000.0)
+    def test_delay_commutes_with_powers_of_two(self, s):
+        # The scan runs on the signal scaled to unit size, so every copy
+        # scaled by 2^k whose nonzero samples stay normal and finite gives
+        # the unit delay, or the unit error, for each strategy.
         _assert_same_delays(s)
-        x = s.samples
-        if not np.isfinite(np.correlate(x, x, "full")).all():
-            for strategy in STRATEGIES:
-                with pytest.raises(ValueError, match="^samples must be finite$"):
-                    find_delay(s, strategy)
+        unit = [_outcome(find_delay, s, strategy) for strategy in STRATEGIES]
+        mags = np.abs(s.samples[s.samples != 0])
+        lo = -1021 - math.frexp(float(mags.min()))[1]
+        hi = 1024 - math.frexp(float(mags.max()))[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(lo, hi + 1):
+                scaled = Signal(np.ldexp(s.samples, k), s.sample_rate_hz)
+                assert [_outcome(find_delay, scaled, st_) for st_ in STRATEGIES] == unit, k
 
 
 class TestDelayEmbed:

@@ -686,13 +686,6 @@ class TestGraph:
         s = Signal(np.sin(t), 100.0)
         assert len(graph(s)) == 300
 
-    def test_bare_array_defaults_to_unit_rate(self):
-        cloud = graph(np.array([1.0, 2.0, 3.0]))
-        assert cloud.points[:, 0].tolist() == [0.0, 1.0, 2.0]
-
-    def test_empty_array_gives_empty_cloud(self):
-        assert len(graph(np.array([]))) == 0
-
     def test_explicit_rate(self):
-        cloud = graph(np.array([1.0, 2.0]), 4.0)
+        cloud = graph(Signal(np.array([1.0, 2.0]), 4.0))
         assert cloud.points[:, 0].tolist() == [0.0, 0.25]

@@ -1,5 +1,7 @@
 """Seeded RNG, maxmin landmark picking, random subsampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -101,10 +103,31 @@ class TestMaxmin:
         with pytest.raises(ValueError):
             maxmin(cloud, 0, seed=0)
 
-    def test_overflowing_distance_rejected(self):
-        cloud = PointCloud(np.array([[0.0, 0.0], [1e200, 0.0], [-1e200, 0.0]]))
-        with pytest.raises(ValueError, match="distance overflow"):
-            maxmin(cloud, 2, seed=0)
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            _random_cloud(300, 40).points,
+            _random_cloud(301, 25, dim=9).points,
+            np.round(_random_cloud(302, 40).points, 1),
+            np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]),
+            np.random.default_rng(0).standard_normal((50, 2)) * 1e-200,
+        ],
+        ids=["square", "nine-dim", "ties", "collinear", "gauss-1e-200"],
+    )
+    def test_commutes_with_powers_of_two(self, pts):
+        # Distances are taken in units that put the largest coordinate in
+        # [0.5, 1), so a copy scaled by 2^k picks the same rows wherever
+        # its nonzero coordinates stay normal and finite. At 1e-200 the
+        # squared distances underflow unless the cloud is scaled.
+        n = min(10, len(np.unique(pts, axis=0)))
+        base = maxmin(PointCloud(pts), n, seed=0).points
+        assert len(np.unique(base, axis=0)) == n
+        mags = np.abs(pts[pts != 0])
+        lo = max(-1000, -1021 - math.frexp(float(mags.min()))[1])
+        hi = min(1000, 1024 - math.frexp(float(mags.max()))[1])
+        for k in range(lo, hi + 1):
+            sub = maxmin(PointCloud(np.ldexp(pts, k)), n, seed=0)
+            assert np.array_equal(sub.points, np.ldexp(base, k)), k
 
 
 class TestRandomSubsample:
