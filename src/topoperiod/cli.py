@@ -146,10 +146,18 @@ def _resolve(
     builtin: Any,
     cast: Callable[[Any], Any] | None = None,
 ) -> Any:
-    """Pick an option value by precedence: flag, config, env (seed), default."""
+    """Pick an option value by precedence: flag, config, env (seed), default.
+
+    A config value other than a string or null is cast from its JSON text,
+    as its flag's text would be, so ``40.5`` or ``true`` is no integer.
+    """
     val = getattr(args, name, None)
-    if val is None and name in cfg:
-        val = cfg[name]
+    if val is None and cfg.get(name) is not None:
+        val = cfg[name] if isinstance(cfg[name], str) else json.dumps(cfg[name])
+        try:
+            return val if cast is None else cast(val)
+        except ValueError as exc:
+            raise ValueError(f"config {name!r}: {exc}") from None
     if val is None and name == "seed":
         env = os.environ.get("TOPOPERIOD_SEED")
         if env is not None:

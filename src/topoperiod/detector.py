@@ -10,6 +10,7 @@ back undecidable rather than forced into either class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -46,8 +47,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.method not in ("random", "maxmin"):
             raise ValueError(f"unknown subsample method {self.method!r}")
-        if not (self.threshold >= 0):
-            raise ValueError("threshold must be nonnegative")
+        # An infinite threshold would reach the report, which JSON cannot hold.
+        if not (self.threshold >= 0 and math.isfinite(self.threshold)):
+            raise ValueError("threshold must be finite and nonnegative")
         if self.subsample_size < 1:
             raise ValueError("subsample size must be at least 1")
 

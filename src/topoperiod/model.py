@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,7 +36,7 @@ from .errors import (
     NoZeroCrossingsError,
     PhaseConditionError,
 )
-from .signal_io import Signal
+from .signal_io import Signal, _is_number
 
 _TWO_PI = 2.0 * math.pi
 _PHASE_TOL = 1e-9
@@ -57,8 +58,7 @@ _TINY = float(np.finfo(np.float64).smallest_subnormal)
 _ENVELOPE_BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class SinusoidSegment:
+class SinusoidSegment(NamedTuple):
     """One segment: ``sin(2 pi t / period + phase)`` on [t_start, t_end)."""
 
     t_start: float
@@ -67,10 +67,8 @@ class SinusoidSegment:
     phase: float
 
 
-# SinusoidSegment fields, in order, and their keys in the model file.
-_SEGMENT_FIELDS = (("t_start", "t0"), ("t_end", "t1"), ("period", "period"), ("phase", "phase"))
-_SEGMENT_KEYS = tuple(key for _, key in _SEGMENT_FIELDS)
-_segment_values = operator.attrgetter(*(name for name, _ in _SEGMENT_FIELDS))
+# The model-file keys of the SinusoidSegment fields, in field order.
+_SEGMENT_KEYS = ("t0", "t1", "period", "phase")
 
 
 def _pchip_coefficients(ts: np.ndarray, amps: np.ndarray) -> np.ndarray | None:
@@ -198,8 +196,7 @@ class PiecewiseSinusoidModel:
         # Named by the field and its model-file key: an infinite time or a
         # NaN phase would otherwise fail far from here, or not at all.
         for i, seg in enumerate(segs):
-            for name, key in _SEGMENT_FIELDS:
-                value = getattr(seg, name)
+            for name, key, value in zip(SinusoidSegment._fields, _SEGMENT_KEYS, seg):
                 if not math.isfinite(value):
                     raise ValueError(f"segment {i} {name} ({key}) must be finite, got {value}")
         for i, (t, a) in enumerate(env):
@@ -287,9 +284,7 @@ class PiecewiseSinusoidModel:
 
     def to_dict(self) -> dict:
         return {
-            "segments": [
-                dict(zip(_SEGMENT_KEYS, _segment_values(s))) for s in self.segments
-            ],
+            "segments": [dict(zip(_SEGMENT_KEYS, s)) for s in self.segments],
             "envelope": [{"t": t, "a": a} for t, a in self.envelope],
         }
 
@@ -322,10 +317,14 @@ def _model_rows(
     out = []
     for i, row in enumerate(rows):
         try:
-            out.append(tuple(map(float, get(row))))
+            values = get(row)
+            # float() would take a numeric string or a bool.
+            if not all(map(_is_number, values)):
+                raise TypeError
+            out.append(tuple(map(float, values)))
         except KeyError as exc:
             raise ValueError(f"{name} {i} lacks {exc}") from None
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):
             raise ValueError(
                 f"{name} {i} must be an object with a number at each of {keys}: {row!r}"
             ) from None
@@ -349,9 +348,8 @@ def synthesize(model: PiecewiseSinusoidModel, sample_rate_hz: float) -> Signal:
         raise ValueError("sample rate too low for the model's span")
     t = np.arange(i0, i1, dtype=np.float64) / r
 
-    starts = np.asarray([seg.t_start for seg in model.segments])
-    periods = np.asarray([seg.period for seg in model.segments])
-    phases = np.asarray([seg.phase for seg in model.segments])
+    # By columns: numpy reads rows of a tuple subclass about 2.5x slower.
+    starts, _, periods, phases = np.array(list(zip(*model.segments)), dtype=np.float64)
     seg_idx = np.searchsorted(starts[1:], t, side="right")
 
     amps = model.envelope_at(t)

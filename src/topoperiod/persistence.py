@@ -38,13 +38,14 @@ land in a tail past the last real key, so no column is filtered.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .embedding import PointCloud, _finite_distance, pairwise
 from .errors import EmptyCloudError
+from .signal_io import _is_number
 
 
 @dataclass(frozen=True)
@@ -222,8 +223,7 @@ def _grow_cliques(
     return rows[order], vals[order]
 
 
-@dataclass(frozen=True, order=True)
-class PersistenceInterval:
+class PersistenceInterval(NamedTuple):
     """One barcode interval; ``death`` is ``math.inf`` for essential classes."""
 
     dim: int
@@ -239,9 +239,6 @@ class PersistenceInterval:
         return self.death - self.birth
 
 
-_INTERVAL_KEY = operator.attrgetter("dim", "birth", "death")
-
-
 @dataclass(frozen=True)
 class PersistenceDiagram:
     """Multiset of persistence intervals, stored in canonical order."""
@@ -249,10 +246,7 @@ class PersistenceDiagram:
     intervals: tuple[PersistenceInterval, ...]
 
     def __post_init__(self) -> None:
-        # The order of the intervals' generated __lt__, by a key: key tuples
-        # compare in C, not through a Python call per comparison.
-        ordered = sorted(self.intervals, key=_INTERVAL_KEY)
-        object.__setattr__(self, "intervals", tuple(ordered))
+        object.__setattr__(self, "intervals", tuple(sorted(self.intervals)))
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -269,12 +263,8 @@ class PersistenceDiagram:
     def to_dicts(self) -> list[dict]:
         """JSON-ready form: death is null for essential intervals."""
         return [
-            {
-                "dim": iv.dim,
-                "birth": iv.birth,
-                "death": iv.death if iv.is_finite else None,
-            }
-            for iv in self.intervals
+            {"dim": dim, "birth": birth, "death": death if math.isfinite(death) else None}
+            for dim, birth, death in self.intervals
         ]
 
     @classmethod
@@ -288,11 +278,6 @@ class PersistenceDiagram:
         below its birth. Zero-length intervals are accepted.
         """
         return cls(tuple(_interval_from_dict(i, r) for i, r in enumerate(rows)))
-
-
-def _is_number(x: object) -> bool:
-    # A bool is an int to isinstance; JSON numbers are mostly floats.
-    return type(x) is float or (isinstance(x, (int, float)) and not isinstance(x, bool))
 
 
 def _interval_from_dict(index: int, row: object) -> PersistenceInterval:

@@ -260,6 +260,12 @@ def save_csv(s: Signal, path: str | Path) -> None:
     Path(path).write_text(signal_csv_text(s))
 
 
+def _is_number(x: object) -> bool:
+    """Whether a value read from JSON is a number: an int or float, not a bool."""
+    # A bool is an int to isinstance; JSON numbers are mostly floats.
+    return type(x) is float or (isinstance(x, (int, float)) and not isinstance(x, bool))
+
+
 def _read_table(
     path: str | Path,
     label: str,

@@ -473,12 +473,18 @@ class TestSynthCommand:
              "envelope breakpoint 1 lacks 'a'"),
             (lambda m: {**m, "segments": [{**m["segments"][0], "period": None}]},
              "segment 0 must be an object with a number"),
+            (lambda m: {**m, "segments": [{**m["segments"][0], "period": "0.025"}]},
+             "segment 0 must be an object with a number"),
+            (lambda m: {**m, "envelope": [{**m["envelope"][0], "a": True}]},
+             "envelope breakpoint 0 must be an object with a number"),
+            (lambda m: {**m, "segments": [{**m["segments"][0], "t0": False}]},
+             "segment 0 must be an object with a number"),
             (lambda m: {**m, "segments": [{**m["segments"][0], "t1": m["segments"][0]["t0"]}]},
              "segment must have positive duration"),
         ],
         ids=["top-level-list", "no-envelope", "no-segments", "segments-not-list",
              "breakpoint-not-object", "segment-without-phase", "breakpoint-without-a",
-             "null-period", "empty-segment"],
+             "null-period", "string-period", "bool-amplitude", "bool-t0", "empty-segment"],
     )
     def test_misshapen_model_names_the_part(self, cli, tmp_path, reshape, message):
         path = tmp_path / "model.json"
@@ -1129,6 +1135,51 @@ class TestOptionResolution:
         report = json.loads(out)
         assert report["subsample_size"] == 50
         assert report["subsample_method"] == "maxmin"
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("synth", '{"rate": 1' + "0" * 400 + "}", "rate"),
+            ("detect", '{"threshold": 1' + "0" * 400 + "}", "threshold"),
+            ("detect", '{"n": 1e400}', "n"),
+            ("detect", '{"n": 40.7}', "n"),
+            ("detect", '{"n": 100.0}', "n"),
+            ("detect", '{"seed": 1.9}', "seed"),
+            ("detect", '{"n": true}', "n"),
+            ("detect", '{"threshold": true}', "threshold"),
+            ("detect", '{"delay": 9.9}', "delay"),
+            ("subsample", '{"n": 40.5}', "n"),
+        ],
+        ids=["huge-rate", "huge-threshold", "inf-n", "fraction-n", "float-n", "fraction-seed",
+             "bool-n", "bool-threshold", "fraction-delay", "subsample-fraction-n"],
+    )
+    def test_config_value_its_flag_rejects_is_invalid(self, cli, tmp_path, sine, command,
+                                                       text, key):
+        # A config value is read as the text its flag would be given.
+        path, s = sine
+        if command == "synth":
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(wheeze_model(1).to_dict()))
+        elif command == "subsample":
+            path = tmp_path / "cloud.csv"
+            write_cloud_csv(delay_embed(s, 10, 2), path)
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, out, err = cli(command, path, "--config", config)
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+        assert key in json.loads(err)["message"]
+
+    def test_config_values_give_the_flags_bytes(self, cli, tmp_path, sine):
+        path, _ = sine
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"n": 50, "seed": 3, "threshold": 0.3, "delay": 9, "method": "maxmin",
+             "strategy": None}
+        ))
+        flags = ("--n", "50", "--seed", "3", "--threshold", "0.3", "--delay", "9",
+                 "--method", "maxmin")
+        assert cli("detect", path, "--config", config) == cli("detect", path, *flags)
 
     def test_non_object_config_is_invalid(self, cli, tmp_path, sine):
         path, _ = sine

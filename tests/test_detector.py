@@ -239,6 +239,11 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(subsample_size=0)
 
+    @pytest.mark.parametrize("threshold", [math.inf, math.nan])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            PipelineConfig(threshold=threshold)
+
     def test_defaults(self):
         cfg = PipelineConfig()
         assert cfg.threshold == 0.15

@@ -161,6 +161,19 @@ class TestModelConstruction:
 
         assert json.loads(json.dumps(model.to_dict())) == model.to_dict()
 
+    def test_segments_convert_to_one_array(self):
+        model = PiecewiseSinusoidModel.from_periods([0.0, 0.02, 0.05], [0.01, 0.004], 0.7)
+        columns = np.array(model.segments).T
+        for name, column in zip(SinusoidSegment._fields, columns):
+            assert column.tolist() == [getattr(seg, name) for seg in model.segments]
+
+    def test_dict_keys_follow_field_order(self):
+        model = PiecewiseSinusoidModel.from_periods([0.0, 0.02, 0.05], [0.01, 0.004], 0.7)
+        row = model.to_dict()["segments"][0]
+        assert SinusoidSegment._fields == ("t_start", "t_end", "period", "phase")
+        assert list(row) == ["t0", "t1", "period", "phase"]
+        assert tuple(row.values()) == model.segments[0]
+
     def test_envelope_interpolation_clamps_edges(self):
         model = PiecewiseSinusoidModel.from_periods(
             [0.0, 1.0], [0.01], 0.0, [(0.2, 1.0), (0.8, 3.0)]

@@ -640,3 +640,13 @@ class TestDiagramSerialization:
         assert iv.is_finite
         assert iv.length == 1.0
         assert not PersistenceInterval(0, 0.0, math.inf).is_finite
+
+    def test_interval_unpacks_as_dim_birth_death(self):
+        dim, birth, death = PersistenceInterval(1, 0.25, 1.25)
+        assert (dim, birth, death) == (1, 0.25, 1.25)
+
+    def test_intervals_convert_to_one_array(self):
+        diagram = h1_diagram(_random_cloud(90, 20))
+        rows = np.array(diagram.intervals)
+        assert rows.shape == (len(diagram), 3)
+        assert rows.tolist() == [[iv.dim, iv.birth, iv.death] for iv in diagram.intervals]
