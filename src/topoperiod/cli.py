@@ -20,13 +20,14 @@ built-in default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .detector import PipelineConfig, detect, evaluate
 from .embedding import (
@@ -68,11 +69,28 @@ def _load_signal(path: str, win: tuple[float, float] | None) -> Signal:
     return s
 
 
-def _load_diagram(path: str) -> PersistenceDiagram:
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: a diagram file must hold a JSON list")
-    return PersistenceDiagram.from_dicts(data)
+@contextlib.contextmanager
+def _named(source: str) -> Iterator[None]:
+    """Put ``source`` before the message of an input error; it keeps its kind."""
+    try:
+        yield
+    except (TopoperiodError, OSError, ValueError, RecursionError) as exc:
+        located = TopoperiodError(f"{source}: {exc}")
+        # Nesting too deep for the decoder is bad input, not a defect.
+        located.kind = "InvalidInput" if isinstance(exc, RecursionError) else _error_kind(exc)
+        raise located from exc
+
+
+def _load_json(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the JSON in a UTF-8 file; any error names the file."""
+    with _named(path):
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _config(data: Any) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"a config must be a JSON object, not {type(data).__name__}")
+    return data
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -129,16 +147,6 @@ def _json_text(obj: Any) -> str:
     return _json_value(obj, "") + "\n"
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    path = getattr(args, "config", None)
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return data
-
-
 def _resolve(
     args: argparse.Namespace,
     cfg: dict,
@@ -149,27 +157,26 @@ def _resolve(
     """Pick an option value by precedence: flag, config, env (seed), default.
 
     A config value other than a string or null is cast from its JSON text,
-    as its flag's text would be, so ``40.5`` or ``true`` is no integer.
+    as its flag's text would be, so ``40.5`` or ``true`` is no integer. A
+    value that does not cast is an error naming its flag, key or variable.
     """
-    val = getattr(args, name, None)
+    val, source = getattr(args, name, None), "--" + name.replace("_", "-")
     if val is None and cfg.get(name) is not None:
         val = cfg[name] if isinstance(cfg[name], str) else json.dumps(cfg[name])
-        try:
-            return val if cast is None else cast(val)
-        except ValueError as exc:
-            raise ValueError(f"config {name!r}: {exc}") from None
+        source = f"config {name!r}"
     if val is None and name == "seed":
-        env = os.environ.get("TOPOPERIOD_SEED")
-        if env is not None:
-            try:
-                val = int(env)
-            except ValueError as exc:
-                raise ValueError(f"TOPOPERIOD_SEED is not an integer: {env!r}") from exc
+        val, source = os.environ.get("TOPOPERIOD_SEED"), "TOPOPERIOD_SEED"
     if val is None:
         val = builtin
-    if cast is not None and val is not None:
-        val = cast(val)
-    return val
+    try:
+        return val if cast is None or val is None else cast(val)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+
+
+def _auto_or(cast: Callable[[str], Any]) -> Callable[[Any], Any]:
+    """A cast that keeps the text "auto" and casts any other value."""
+    return lambda val: val if val == "auto" else cast(val)
 
 
 def _cmd_acl(args: argparse.Namespace, cfg: dict) -> int:
@@ -182,11 +189,9 @@ def _cmd_embed(args: argparse.Namespace, cfg: dict) -> int:
     s = _load_signal(args.input, args.window)
     strategy = _resolve(args, cfg, "strategy", "first-zero", str)
     dim = _resolve(args, cfg, "dim", 2, int)
-    delay_opt = _resolve(args, cfg, "delay", "auto", str)
-    if delay_opt == "auto":
+    delay = _resolve(args, cfg, "delay", "auto", _auto_or(int))
+    if delay == "auto":
         delay = find_delay(s, strategy)
-    else:
-        delay = int(delay_opt)
     cloud = delay_embed(s, delay, dim)
     header = f"# delay={delay} dim={dim} strategy={strategy}\n"
     _emit(header + cloud_csv_text(cloud), args.out)
@@ -216,8 +221,7 @@ def _cmd_subsample(args: argparse.Namespace, cfg: dict) -> int:
 def _cmd_persist(args: argparse.Namespace, cfg: dict) -> int:
     cloud = read_cloud_csv(args.input)
     max_dim = _resolve(args, cfg, "max_dim", 2, int)
-    eps_opt = _resolve(args, cfg, "max_eps", "auto", str)
-    max_eps: str | float = "auto" if eps_opt == "auto" else float(eps_opt)
+    max_eps = _resolve(args, cfg, "max_eps", "auto", _auto_or(float))
     if max_dim == 2:
         # The same diagram as the explicit two-skeleton, without storing
         # its triangles.
@@ -236,7 +240,8 @@ def _cmd_dist(args: argparse.Namespace, cfg: dict) -> int:
     payload: dict[str, Any] = {"metric": metric}
     if metric == "bottleneck":
         dim = _resolve(args, cfg, "dim", 1, int)
-        d = bottleneck(_load_diagram(args.a), _load_diagram(args.b), dim)
+        a, b = (_load_json(p, PersistenceDiagram.from_dicts) for p in (args.a, args.b))
+        d = bottleneck(a, b, dim)
         payload["dim"] = dim
     else:
         d = hausdorff(read_cloud_csv(args.a), read_cloud_csv(args.b))
@@ -247,8 +252,7 @@ def _cmd_dist(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace, cfg: dict) -> int:
-    data = json.loads(Path(args.model).read_text())
-    model = PiecewiseSinusoidModel.from_dict(data)
+    model = _load_json(args.model, PiecewiseSinusoidModel.from_dict)
     rate = _resolve(args, cfg, "rate", None, float)
     if rate is None:
         raise ValueError("synth needs --rate (or \"rate\" in the config file)")
@@ -280,9 +284,10 @@ def _cmd_detect(args: argparse.Namespace, cfg: dict) -> int:
 
 def _cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
     manifest = Path(args.manifest)
-    base = manifest.parent
+    with _named(str(manifest)):
+        lines = manifest.read_text(encoding="utf-8").splitlines()
     entries: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -291,16 +296,15 @@ def _cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
             raise ValueError(f"{manifest}:{lineno}: expected \"path,label\"")
         entries.append((lineno, parts[0], parts[1]))
     pipeline = _pipeline_config(args, cfg)
-    dataset: list[tuple[Signal, str]] = []
-    for lineno, path, truth in entries:
-        try:
-            dataset.append((_load_signal(str(base / path), None), truth))
-        except (TopoperiodError, OSError, ValueError) as exc:
-            # Name the manifest line; the error keeps its kind.
-            located = TopoperiodError(f"{manifest}:{lineno}: {exc}")
-            located.kind = _error_kind(exc)
-            raise located from exc
-    result = evaluate(dataset, pipeline)
+
+    def dataset() -> Iterator[tuple[Signal, str]]:
+        # One recording at a time: each loads just before its detect().
+        for lineno, path, truth in entries:
+            with _named(f"{manifest}:{lineno}"):
+                signal = _load_signal(str(manifest.parent / path), None)
+            yield signal, truth
+
+    result = evaluate(dataset(), pipeline)
     payload = {
         "accuracy": result.accuracy,
         "confusion": result.confusion,
@@ -326,16 +330,11 @@ def _cmd_eval(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_render(args: argparse.Namespace, cfg: dict) -> int:
-    p = Path(args.input)
-    if p.suffix.lower() == ".json":
-        data = json.loads(p.read_text())
-        if isinstance(data, dict) and "diagram" in data:
-            data = data["diagram"]
-        if not isinstance(data, list):
-            raise ValueError(f"{p}: expected a diagram list or a report object")
-        artifact: Any = PersistenceDiagram.from_dicts(data)
+    if Path(args.input).suffix.lower() == ".json":  # a diagram list or a report object
+        artifact: Any = _load_json(args.input, lambda d: PersistenceDiagram.from_dicts(
+            d.get("diagram", d) if isinstance(d, dict) else d))
     else:
-        artifact = read_cloud_csv(p)
+        artifact = read_cloud_csv(args.input)
     _emit(render_svg(artifact), args.out)
     return 0
 
@@ -482,7 +481,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _load_config(args)
+        cfg = {} if args.config is None else _load_json(args.config, _config)
         return _DISPATCH[args.command](args, cfg)
     except Exception as exc:
         # Every error, a defect or an exhausted resource (RecursionError

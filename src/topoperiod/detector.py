@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 from .embedding import delay_embed, find_delay
 from .errors import (
@@ -149,16 +149,16 @@ class EvaluationResult:
 
 
 def evaluate(
-    dataset: Sequence[tuple[Signal, str]],
+    dataset: Iterable[tuple[Signal, str]],
     config: PipelineConfig | None = None,
 ) -> EvaluationResult:
     """Run detect() over labeled signals and tally a confusion table.
 
     Labels must come from {harmonic, non-harmonic, undecidable}. Accuracy
-    counts exact label matches, undecidable outcomes included.
+    counts exact label matches, undecidable outcomes included. The dataset
+    is iterated once, so a generator can load each signal just before its
+    detect() and keep one signal at a time.
     """
-    if not dataset:
-        raise ValueError("dataset must not be empty")
     confusion: dict[str, dict[str, int]] = {
         a: {b: 0 for b in _LABELS} for a in _LABELS
     }
@@ -172,4 +172,6 @@ def evaluate(
         confusion[truth][rep.label] += 1
         if rep.label == truth:
             hits += 1
-    return EvaluationResult(hits / len(dataset), confusion, tuple(reports))
+    if not reports:
+        raise ValueError("dataset must not be empty")
+    return EvaluationResult(hits / len(reports), confusion, tuple(reports))

@@ -271,12 +271,15 @@ class PersistenceDiagram:
     def from_dicts(cls, rows: list[dict]) -> "PersistenceDiagram":
         """Inverse of ``to_dicts``: a null death is an essential class.
 
-        Raises ``ValueError`` naming the row when a row is not an object,
-        lacks its dim or birth, its dim is not an integer of at least 0,
-        its birth or death is not a number (a bool or string is none),
-        its birth is not finite, or its death is NaN, ``-Infinity`` or
-        below its birth. Zero-length intervals are accepted.
+        Raises ``ValueError`` when ``rows`` is not a list, and naming the
+        row when a row is not an object, lacks its dim or birth, its dim is
+        not an integer of at least 0, its birth or death is not a number (a
+        bool or string is none), its birth is not finite, or its death is
+        NaN, ``-Infinity`` or below its birth. Zero-length intervals are
+        accepted.
         """
+        if not isinstance(rows, list):
+            raise ValueError(f"a diagram must be a list, not {type(rows).__name__}")
         return cls(tuple(_interval_from_dict(i, r) for i, r in enumerate(rows)))
 
 

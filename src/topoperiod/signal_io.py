@@ -278,7 +278,8 @@ def _read_table(
     its line number, to ``on_comment``. Every other line is a data line:
     fields that ``float`` parses to a finite number, as many on every
     line (exactly one with ``one_column``). Returns a float64 array of
-    shape (rows, fields), or (0, 0) without a data line.
+    shape (rows, fields), or (0, 0) without a data line. The file is read
+    as UTF-8; bytes that do not decode are a ``ValueError`` naming it.
 
     The ``#`` and blank lines before the first data line are handled
     here; the rest go to numpy's C parser in one call. It parses every
@@ -291,7 +292,10 @@ def _read_table(
     the first bad line as ``{path}:{lineno}: {label}: {line!r}``, or the
     file when lines differ in field count.
     """
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     start = 0
     while start < len(lines):
         line = lines[start].strip()

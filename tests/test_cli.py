@@ -495,6 +495,17 @@ class TestSynthCommand:
         assert message in json.loads(err)["message"]
 
 
+    def test_broken_phase_chain_keeps_its_kind_and_names_the_file(self, cli, tmp_path):
+        model = wheeze_model(1).to_dict()
+        model["segments"][1]["phase"] += 1.0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code, out, err = cli("synth", path, "--rate", "4000")
+        assert code == 1 and out == ""
+        assert error_kind(err) == "PhaseConditionViolated"
+        assert json.loads(err)["message"].startswith(f"{path}: phase ")
+
+
 class TestFitCommand:
     def test_model_json_matches_library(self, cli, sine):
         path, s = sine
@@ -840,6 +851,17 @@ class TestEvalCommand:
         assert code == 1
         assert error_kind(err) == "InvalidInput"
 
+    def test_label_error_comes_before_a_later_load_error(self, cli, tmp_path):
+        # Each entry loads just before its detect, so line 1's unknown label
+        # ends the run before line 2's missing file is opened.
+        save_csv(noise_signal(NOISE_SEED_FOR_CLI), tmp_path / "noise.csv")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("noise.csv,wheeze\nmissing.csv,harmonic\n")
+        code, out, err = cli("eval", manifest)
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+        assert json.loads(err)["message"] == "unknown label 'wheeze'"
+
 
 class TestRenderCommand:
     def test_cloud_csv_input(self, cli, square_cloud):
@@ -1086,6 +1108,53 @@ class TestExitCodesAndErrors:
         assert "usage" in out.lower()
 
 
+# The contents of a file that is not JSON, or that holds the wrong top-level
+# type for its place, or an array nested past the decoder's recursion limit.
+_BAD_JSON = {
+    "malformed": lambda wrong: b"{not json",
+    "wrong-type": lambda wrong: wrong.encode(),
+    "deep-nesting": lambda wrong: b"[" * 200_000 + b"]" * 200_000,
+    "not-utf8": lambda wrong: b'{"seed": "\xff"}',
+}
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("case", list(_BAD_JSON))
+    @pytest.mark.parametrize(
+        "argv, wrong",
+        [
+            (["detect", "{sig}", "--config", "{bad}"], "[1, 2]"),
+            (["dist", "bottleneck", "{bad}", "{dgm}"], '{"dim": 1}'),
+            (["dist", "bottleneck", "{dgm}", "{bad}"], '"diagram"'),
+            (["render", "{bad}"], "3"),
+            (["synth", "{bad}", "--rate", "4000"], "[]"),
+        ],
+        ids=["detect-config", "bottleneck-a", "bottleneck-b", "render", "synth"],
+    )
+    def test_bad_json_file_is_invalid_and_named(self, cli, sine, tmp_path, argv, wrong, case):
+        sig, _ = sine
+        dgm = tmp_path / "dgm.json"
+        dgm.write_text(json.dumps([{"dim": 1, "birth": 0.0, "death": 1.0}]))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(_BAD_JSON[case](wrong))
+        code, out, err = cli(*(a.format(sig=sig, bad=bad, dgm=dgm) for a in argv))
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+        assert json.loads(err)["message"].startswith(f"{bad}: ")
+
+    @pytest.mark.parametrize("command", ["detect", "persist", "eval"])
+    def test_text_input_that_is_not_utf8_is_invalid_and_named(self, cli, tmp_path, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"# sample_rate=4000 \xff\n0.5\n-0.5\n")
+        if command == "eval":
+            (tmp_path / "noise.csv").write_text("0.5\n-0.5\n")
+            bad.write_bytes(b"noise.csv,harmonic\n\xff,harmonic\n")
+        code, out, err = cli(command, bad)
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+        assert json.loads(err)["message"].startswith(f"{bad}: 'utf-8' codec")
+
+
 class TestOptionResolution:
     def _detect_seed(self, cli, tmp_path, *extra):
         s = noise_signal(NOISE_SEED_FOR_CLI, n=400)
@@ -1149,9 +1218,12 @@ class TestOptionResolution:
             ("detect", '{"threshold": true}', "threshold"),
             ("detect", '{"delay": 9.9}', "delay"),
             ("subsample", '{"n": 40.5}', "n"),
+            ("embed", '{"delay": 9.9}', "delay"),
+            ("persist", '{"max_eps": "abc"}', "max_eps"),
         ],
         ids=["huge-rate", "huge-threshold", "inf-n", "fraction-n", "float-n", "fraction-seed",
-             "bool-n", "bool-threshold", "fraction-delay", "subsample-fraction-n"],
+             "bool-n", "bool-threshold", "fraction-delay", "subsample-fraction-n",
+             "embed-fraction-delay", "persist-text-max-eps"],
     )
     def test_config_value_its_flag_rejects_is_invalid(self, cli, tmp_path, sine, command,
                                                        text, key):
@@ -1160,7 +1232,7 @@ class TestOptionResolution:
         if command == "synth":
             path = tmp_path / "model.json"
             path.write_text(json.dumps(wheeze_model(1).to_dict()))
-        elif command == "subsample":
+        elif command in ("subsample", "persist"):
             path = tmp_path / "cloud.csv"
             write_cloud_csv(delay_embed(s, 10, 2), path)
         config = tmp_path / "config.json"
@@ -1169,6 +1241,23 @@ class TestOptionResolution:
         assert code == 1 and out == ""
         assert error_kind(err) == "InvalidInput"
         assert key in json.loads(err)["message"]
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("embed", "--delay", "9.9"), ("persist", "--max-eps", "abc")],
+        ids=["embed-delay", "persist-max-eps"],
+    )
+    def test_flag_text_that_does_not_cast_names_the_flag(self, cli, tmp_path, sine, command,
+                                                         flag, value):
+        path, s = sine
+        if command == "persist":
+            path = tmp_path / "cloud.csv"
+            write_cloud_csv(delay_embed(s, 10, 2), path)
+        code, out, err = cli(command, path, flag, value)
+        assert code == 1 and out == ""
+        assert error_kind(err) == "InvalidInput"
+        assert json.loads(err)["message"].startswith(f"{flag}: ")
+        assert repr(value) in json.loads(err)["message"]
 
     def test_config_values_give_the_flags_bytes(self, cli, tmp_path, sine):
         path, _ = sine

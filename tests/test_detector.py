@@ -24,6 +24,7 @@ from topoperiod import (
     significance,
     synthesize,
 )
+from topoperiod import detector as detector_module
 from topoperiod.subsampling import SplitMix64
 
 from fixtures import NOISE_SEEDS, noise_signal, wheeze_model
@@ -284,3 +285,26 @@ class TestEvaluate:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
             evaluate([(_wheeze_signal(0), "wheeze")])
+
+    def test_generator_is_consumed_once_one_item_at_a_time(self, monkeypatch):
+        # Each signal is drawn just before its detect(), and never again.
+        events = []
+
+        def dataset():
+            for i in range(3):
+                events.append(f"load {i}")
+                yield _wheeze_signal(i), "harmonic"
+
+        def traced(sig, config=None):
+            events.append("detect")
+            return detect(sig, config)
+
+        monkeypatch.setattr(detector_module, "detect", traced)
+        result = evaluate(dataset())
+        assert events == ["load 0", "detect", "load 1", "detect", "load 2", "detect"]
+        assert result == evaluate([(_wheeze_signal(i), "harmonic") for i in range(3)])
+        assert len(result.reports) == 3
+
+    def test_empty_generator_rejected(self):
+        with pytest.raises(ValueError, match="dataset must not be empty"):
+            evaluate(iter(()))
